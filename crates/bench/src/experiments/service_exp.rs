@@ -10,7 +10,7 @@
 //! batch-lookup framing the xor-filter line of work uses for cache
 //! misses, applied to RTTs.
 //!
-//! This experiment starts an in-process [`service::FilterServer`] on
+//! This experiment starts an in-process [`service::EventedFilterServer`] on
 //! an ephemeral loopback port, creates one instance of each backend,
 //! preloads Zipf-distributed keys, and drives closed-loop CONTAINS
 //! traffic from client threads at batch sizes 1/16/256, reporting
@@ -26,7 +26,7 @@
 
 use super::header;
 use service::{
-    Backend, FilterClient, FilterServer, HistogramSnapshot, LatencyHistogram, ServerConfig,
+    Backend, EventedFilterServer, FilterClient, HistogramSnapshot, LatencyHistogram, ServerConfig,
 };
 use std::time::{Duration, Instant};
 use workloads::{rank_to_key, zipf_keys};
@@ -89,12 +89,12 @@ pub fn e19_service() -> bool {
     );
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!(
-        "hardware parallelism: {cores} ({THREADS} client threads + server workers time-share \
-         on fewer cores; single-core numbers understate a real deployment)"
+        "hardware parallelism: {cores} ({THREADS} client threads + one server loop per core \
+         time-share the cores; absolute numbers understate a real deployment)"
     );
     println!("latency columns are power-of-two-bucket upper bounds (service metrics resolution)\n");
 
-    let server = FilterServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let server = EventedFilterServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let addr = server.local_addr();
 
     let mut setup = FilterClient::connect(addr).expect("connect");

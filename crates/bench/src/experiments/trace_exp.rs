@@ -169,7 +169,7 @@ pub fn e27_trace() -> bool {
 
     // Pre-encode every request payload outside the timed region: the
     // measured work is decode + registry lookup + probe + response
-    // encode, the same per-frame path both transports funnel through.
+    // encode, the same per-frame path the server's loops funnel through.
     let encode_batches = |source: &[u64], batch: usize, reqs: usize| -> Vec<Vec<u8>> {
         source
             .chunks(batch)

@@ -6,7 +6,7 @@
 //! cargo run --release -p bench --bin experiments -- serve evented
 //! ```
 //!
-//! `serve <threaded|evented>` runs one filter server on an ephemeral
+//! `serve evented` runs one filter server on an ephemeral
 //! loopback port until stdin reaches EOF (E24 uses it to spawn real
 //! separate server processes for the cluster sweep).
 
@@ -22,7 +22,7 @@ fn main() {
     if !ok {
         eprintln!(
             "unknown experiment '{arg}'; use e1..e27 (e.g. e10-range), 'all', \
-             or 'serve <threaded|evented>'"
+             or 'serve evented'"
         );
         std::process::exit(1);
     }

@@ -56,7 +56,7 @@ impl From<io::Error> for ClientError {
     }
 }
 
-/// A blocking connection to a [`crate::server::FilterServer`].
+/// A blocking connection to a [`crate::evented::EventedFilterServer`].
 pub struct FilterClient {
     stream: TcpStream,
     frames: FrameReader<TcpStream>,

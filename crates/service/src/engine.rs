@@ -1,14 +1,13 @@
-//! The filter-serving core shared by both transports.
+//! The filter-serving core behind the transport.
 //!
 //! [`Engine`] owns everything that is *not* a socket: the named-filter
 //! registry, the per-server metrics set, the slow-request log, the
-//! shutdown flag, and the request dispatcher. The threaded server
-//! ([`crate::server::FilterServer`]) and the event-driven server
-//! ([`crate::evented::EventedFilterServer`]) are thin transports over
-//! one `Engine` each — they read frames differently, but every payload
-//! funnels through the same crate-private `dispatch`, so the two servers
-//! are response-for-response identical by construction (the e2e suite
-//! asserts this bit-for-bit).
+//! shutdown flag, and the request dispatcher. The server
+//! ([`crate::evented::EventedFilterServer`]) is a thin transport over
+//! one `Engine`, shared by all of its loop threads: every payload
+//! funnels through the public [`dispatch`], so a wire response is
+//! byte-equal to what `dispatch` returns for the same payload (the e2e
+//! suite asserts this bit-for-bit).
 //!
 //! The registry is a `RwLock<BTreeMap<name, Arc<ServedFilter>>>`.
 //! Request handling clones the `Arc` and releases the registry lock
@@ -95,8 +94,8 @@ pub fn register_metrics() {
 }
 
 /// Register every layer's metric families (filter crates + this one)
-/// so the first scrape renders them all, traffic or not. Both servers
-/// call this from `bind`.
+/// so the first scrape renders them all, traffic or not. The server
+/// calls this from `bind`.
 pub(crate) fn register_all_layers() {
     bloom::register_metrics();
     cuckoo::register_metrics();
@@ -108,24 +107,14 @@ pub(crate) fn register_all_layers() {
     register_metrics();
 }
 
-/// Tuning knobs shared by [`crate::server::FilterServer`] and
-/// [`crate::evented::EventedFilterServer`]. Fields that only apply to
-/// one transport say so.
+/// Tuning knobs of [`crate::evented::EventedFilterServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads (concurrently served connections). Threaded
-    /// server only; the evented server serves every connection from
-    /// one readiness loop.
-    pub workers: usize,
-    /// Accepted connections that may queue for a free worker before
-    /// the accept thread itself blocks. Threaded server only.
-    pub backlog: usize,
     /// Per-connection frame payload limit; larger length prefixes are
     /// refused before allocation.
     pub max_frame: u32,
-    /// Socket read timeout — the cadence at which idle workers poll
-    /// the shutdown flag (threaded), and the readiness-wait tick on
-    /// which the evented loop polls it.
+    /// Readiness-wait tick: the cadence at which each loop polls the
+    /// shutdown flag and sweeps idle connections.
     pub read_timeout: Duration,
     /// Largest `capacity` a CREATE may request (bounds server memory
     /// taken by one request).
@@ -144,8 +133,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            workers: 4,
-            backlog: 64,
             max_frame: DEFAULT_MAX_FRAME,
             read_timeout: Duration::from_millis(50),
             max_capacity: 1 << 28,
@@ -336,29 +323,16 @@ impl ReqInfo {
     /// `op << 56 | (backend_tag + 1) << 48 | batch` (backend 0 means
     /// "none").
     fn packed(self) -> u64 {
-        let be = match self.backend {
-            None => 0u64,
-            Some(Backend::AtomicBloom) => 1,
-            Some(Backend::ShardedCuckoo) => 2,
-            Some(Backend::ShardedCqf) => 3,
-            Some(Backend::RegisterBloom) => 4,
-            Some(Backend::Compacting) => 5,
-            Some(Backend::TwoChoiceBloom) => 6,
-        };
+        let be = self.backend.map_or(0, |b| b.to_u32() as u64 + 1);
         (self.op as u64) << 56 | be << 48 | self.batch as u64
     }
 
     /// Inverse of [`ReqInfo::packed`], for rendering the slow log.
     fn unpack(b: u64) -> (u8, &'static str, u32) {
         let op = (b >> 56) as u8;
-        let backend = match (b >> 48) & 0xff {
-            1 => "atomic-bloom",
-            2 => "sharded-cuckoo",
-            3 => "sharded-cqf",
-            4 => "register-bloom",
-            5 => "compacting",
-            6 => "two-choice-bloom",
-            _ => "-",
+        let backend = match ((b >> 48) & 0xff) as u32 {
+            0 => "-",
+            tag => Backend::from_u32(tag - 1).map_or("-", |b| b.name()),
         };
         (op, backend, b as u32)
     }
@@ -718,12 +692,10 @@ impl Engine {
     }
 
     /// Account one fully-served request: latency histogram, process
-    /// counters, and the slow-request log. Both transports call this
-    /// with the same ordering (after the response is written or
-    /// queued, passing the request guard's trace id — minted on
-    /// demand for slow requests — so the slow-log line and the
-    /// tail-captured trace share an id), which is what keeps their
-    /// STATS deltas identical. Public for the same reason as
+    /// counters, and the slow-request log. The server calls this after
+    /// the response is queued, passing the request guard's trace id —
+    /// minted on demand for slow requests — so the slow-log line and
+    /// the tail-captured trace share an id. Public for the same reason as
     /// [`dispatch`]: the E27 bench harness drives the exact per-frame
     /// accounting path in-process, without sockets.
     pub fn record_request(

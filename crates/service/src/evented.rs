@@ -1,18 +1,21 @@
-//! The event-driven filter server: every connection served from one
-//! nonblocking readiness loop ([`eventloop::Poller`] — raw-syscall
-//! epoll on x86_64 Linux, the scan fallback elsewhere).
+//! The filter server: every connection served from nonblocking
+//! readiness loops ([`eventloop::Poller`] — raw-syscall epoll on
+//! x86_64 Linux, the scan fallback elsewhere), one loop per core.
 //!
-//! # Why a second transport
+//! # Loops and handoff
 //!
-//! The threaded server pins one worker per live connection, so its
-//! concurrency is the pool size and each idle connection costs a
-//! blocked thread. The evented server inverts that: one loop thread
-//! owns every socket, sleeping in `epoll_wait` until some socket has
-//! bytes, so thousands of mostly-idle connections cost one thread and
-//! a few KB of buffers each — the classic C10K argument, applied to a
-//! filter sidecar whose requests are microseconds long (dispatching
-//! inline on the loop thread is *cheaper* than handing off to a pool
-//! for work this small).
+//! [`EventedFilterServer::bind`] starts `available_parallelism()`
+//! loop threads (one where `std::os::unix` is missing). Loop 0 owns
+//! the nonblocking listener; it accepts and deals connections out
+//! round-robin, itself included. Handing a connection to loop k
+//! pushes the stream onto k's inbox and writes one byte to k's waker,
+//! a socket pair whose read end k watches under the reserved token 0.
+//! From then on the connection belongs to k alone: every loop owns
+//! its own poller, connection slab, idle sweep and shutdown drain, and
+//! the loops share nothing but the `Arc<Engine>`, whose registry and
+//! counters are already safe for concurrent dispatch. One loop per
+//! core keeps every core serving while each idle connection still
+//! costs a slab slot and a few KB of buffers, not a blocked thread.
 //!
 //! # Pipelining
 //!
@@ -24,17 +27,14 @@
 //! (`&ibuf[start..start+len]` straight into the engine's dispatch) —
 //! no per-frame allocation or copy on the request path.
 //!
-//! # Parity
+//! # Drain
 //!
-//! Both servers funnel every payload through `engine::dispatch` and
-//! count through the same [`crate::metrics::ServerMetrics`] in the
-//! same order, so for any scripted request sequence the responses and
-//! the deterministic STATS counters are bit-identical across
-//! transports (`tests/service_e2e.rs` asserts exactly this). The
-//! drain contract is also the threaded one: shutdown stops accepting,
-//! finishes writing responses already queued, and closes — buffered
-//! but undispatched frames are dropped, just as the threaded worker
-//! drops frames it has not started reading.
+//! Every payload funnels through `engine::dispatch`, so a response is
+//! byte-equal to what `dispatch` returns for the same payload
+//! (`tests/service_e2e.rs` asserts exactly this). Shutdown stops
+//! accepting, finishes writing responses already queued, and closes;
+//! buffered but undispatched frames and connections still waiting in
+//! an inbox are dropped.
 //!
 //! # Safety
 //!
@@ -52,13 +52,21 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use telemetry::trace::TraceContext;
 
-/// Token 0 is the listener; connection n lives at token n + 1.
-const LISTENER: Token = Token(0);
+#[cfg(unix)]
+use std::os::unix::net::UnixStream as Waker;
+// Never constructed: without unix sockets there is one loop and so no
+// handoff; the alias only keeps the shared code compiling.
+#[cfg(not(unix))]
+use std::net::TcpStream as Waker;
+
+/// Token 0 is the loop's own source (the listener on loop 0, the
+/// waker elsewhere); connection n lives at token n + 1.
+const SOURCE: Token = Token(0);
 
 /// Per-connection state: the socket plus rolling I/O buffers.
 struct Conn {
@@ -79,46 +87,70 @@ struct Conn {
     close_after_flush: bool,
     /// Peer sent EOF on a clean frame boundary.
     peer_closed: bool,
-    /// Last time a complete frame arrived (idle-deadline clock — the
-    /// same "frames, not bytes" progress rule as the threaded server).
+    /// Last time a complete frame arrived (idle-deadline clock:
+    /// frames, not bytes, count as progress).
     last_frame: Instant,
 }
 
-/// An event-driven [`FilterServer`](crate::server::FilterServer)
-/// equivalent: same engine, same wire protocol, same drain semantics,
-/// one readiness loop instead of a thread pool.
+/// A running filter server: one engine, one listener, one readiness
+/// loop per core. Dropping the handle without calling
+/// [`shutdown`](Self::shutdown) detaches the loops (they keep serving
+/// until the process exits).
 pub struct EventedFilterServer {
     engine: Arc<Engine>,
     addr: SocketAddr,
     backend: BackendKind,
-    looper: Option<JoinHandle<()>>,
+    loops: Vec<JoinHandle<()>>,
 }
 
 impl EventedFilterServer {
-    /// Bind `addr` (port 0 for ephemeral) and start the loop thread.
-    /// Takes the same [`ServerConfig`] as the threaded server
-    /// (`workers`/`backlog` are ignored; the loop serves everyone).
+    /// Bind `addr` (port 0 for ephemeral) and start one loop thread
+    /// per core.
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         net::set_reuseaddr(&listener)?;
         listener.set_nonblocking(true)?;
-        let poller = Poller::new()?;
-        let backend = poller.kind();
         crate::engine::register_all_layers();
         let engine = Arc::new(Engine::new(config));
-        let looper = {
-            let engine = Arc::clone(&engine);
-            std::thread::Builder::new()
-                .name("filter-evented".into())
-                .spawn(move || event_loop(&engine, listener, poller))
-                .expect("spawn evented loop")
+        let poller = Poller::new()?;
+        let backend = poller.kind();
+        // Build every poller and handoff before spawning anything, so
+        // a failure returns an error instead of stranding threads.
+        let mut peers = Vec::new();
+        let mut workers = Vec::new();
+        for _ in 1..loop_count() {
+            let (tx, rx) = waker_pair()?;
+            tx.set_nonblocking(true)?;
+            rx.set_nonblocking(true)?;
+            let inbox = Arc::new(Mutex::new(Vec::new()));
+            peers.push(Handoff {
+                inbox: Arc::clone(&inbox),
+                waker: tx,
+            });
+            workers.push((Poller::new()?, Role::Worker(Handoff { inbox, waker: rx })));
+        }
+        let acceptor = Role::Acceptor {
+            listener,
+            peers,
+            next: 0,
         };
+        let loops = std::iter::once((poller, acceptor))
+            .chain(workers)
+            .enumerate()
+            .map(|(i, (poller, role))| {
+                let engine = Arc::clone(&engine);
+                std::thread::Builder::new()
+                    .name(format!("filter-loop-{i}"))
+                    .spawn(move || event_loop(&engine, poller, role))
+                    .expect("spawn loop thread")
+            })
+            .collect();
         Ok(EventedFilterServer {
             engine,
             addr: local,
             backend,
-            looper: Some(looper),
+            loops,
         })
     }
 
@@ -127,7 +159,7 @@ impl EventedFilterServer {
         self.addr
     }
 
-    /// Which readiness backend the loop runs on (epoll or the
+    /// Which readiness backend the loops run on (epoll or the
     /// portable scan fallback).
     pub fn poll_backend(&self) -> BackendKind {
         self.backend
@@ -150,13 +182,125 @@ impl EventedFilterServer {
     }
 
     /// Stop accepting, flush queued responses, close every
-    /// connection, join the loop thread. The loop observes the flag
-    /// within one readiness-wait tick, so no wake-up connection is
-    /// needed.
+    /// connection, join every loop thread. Each loop observes the
+    /// flag within one readiness-wait tick, so no wake-up is needed.
     pub fn shutdown(mut self) {
         self.engine.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.looper.take() {
+        for h in self.loops.drain(..) {
             let _ = h.join();
+        }
+    }
+}
+
+/// How many loops [`EventedFilterServer::bind`] starts: one per core,
+/// or one where there are no unix sockets to build a waker from.
+fn loop_count() -> usize {
+    if cfg!(unix) {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        1
+    }
+}
+
+#[cfg(unix)]
+fn waker_pair() -> io::Result<(Waker, Waker)> {
+    Waker::pair()
+}
+
+#[cfg(not(unix))]
+fn waker_pair() -> io::Result<(Waker, Waker)> {
+    unreachable!("one loop, no handoff")
+}
+
+/// One end of the channel that carries accepted connections from
+/// loop 0 to another loop: the shared inbox, plus the waker's write
+/// end (loop 0's side) or read end (the receiving loop's side).
+struct Handoff {
+    inbox: Arc<Mutex<Vec<TcpStream>>>,
+    waker: Waker,
+}
+
+impl Handoff {
+    fn send(&self, stream: TcpStream) {
+        self.inbox
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .push(stream);
+        // A full waker buffer (WouldBlock) already holds an unread
+        // wake, so the byte may be dropped.
+        let _ = (&self.waker).write(&[1]);
+    }
+
+    /// Drain the waker, then take the inbox. Draining first means a
+    /// stream pushed after the take left its byte behind for the next
+    /// wake, so no handoff is ever missed.
+    fn recv(&self) -> Vec<TcpStream> {
+        let mut buf = [0u8; 64];
+        while matches!((&self.waker).read(&mut buf), Ok(n) if n > 0) {}
+        std::mem::take(&mut *self.inbox.lock().unwrap_or_else(|p| p.into_inner()))
+    }
+}
+
+/// What a loop watches besides its own connections.
+enum Role {
+    /// Loop 0: the listener, plus a handoff to every other loop.
+    Acceptor {
+        listener: TcpListener,
+        peers: Vec<Handoff>,
+        /// Round-robin cursor over every loop, this one included.
+        next: usize,
+    },
+    /// Every other loop: the inbox loop 0 fills.
+    Worker(Handoff),
+}
+
+/// One loop's poller and connection slab.
+struct Loop {
+    poller: Poller,
+    conns: Vec<Option<Conn>>,
+    free: VecDeque<usize>,
+}
+
+impl Loop {
+    /// Register an accepted, nonblocking stream and start serving it.
+    fn adopt(&mut self, engine: &Engine, stream: TcpStream) {
+        let idx = self.free.pop_front().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
+        if self
+            .poller
+            .register(os_fd(&stream), Token(idx + 1), Interest::READABLE)
+            .is_err()
+        {
+            engine.metrics.accept_errors.inc();
+            self.free.push_back(idx);
+            return;
+        }
+        engine.metrics.connections_opened.inc();
+        engine.metrics.open_connections.add(1);
+        let peer = stream.peer_addr().ok();
+        self.conns[idx] = Some(Conn {
+            stream,
+            peer,
+            ibuf: Vec::new(),
+            start: 0,
+            obuf: Vec::new(),
+            osent: 0,
+            want_write: false,
+            close_after_flush: false,
+            peer_closed: false,
+            last_frame: Instant::now(),
+        });
+    }
+
+    fn close(&mut self, engine: &Engine, idx: usize) {
+        if let Some(conn) = self.conns[idx].take() {
+            let _ = self.poller.deregister(os_fd(&conn.stream), Token(idx + 1));
+            drop(conn);
+            engine.metrics.connections_closed.inc();
+            engine.metrics.open_connections.add(-1);
+            self.free.push_back(idx);
         }
     }
 }
@@ -164,12 +308,20 @@ impl EventedFilterServer {
 /// How much to read per `read()` call while draining a socket.
 const READ_CHUNK: usize = 64 * 1024;
 
-fn event_loop(engine: &Engine, listener: TcpListener, mut poller: Poller) {
-    let mut conns: Vec<Option<Conn>> = Vec::new();
-    let mut free: VecDeque<usize> = VecDeque::new();
+fn event_loop(engine: &Engine, poller: Poller, mut role: Role) {
+    let mut lp = Loop {
+        poller,
+        conns: Vec::new(),
+        free: VecDeque::new(),
+    };
     let mut events: Vec<Event> = Vec::new();
-    if poller
-        .register(os_fd(&listener), LISTENER, Interest::READABLE)
+    let source = match &role {
+        Role::Acceptor { listener, .. } => os_fd(listener),
+        Role::Worker(mailbox) => os_fd(&mailbox.waker),
+    };
+    if lp
+        .poller
+        .register(source, SOURCE, Interest::READABLE)
         .is_err()
     {
         return;
@@ -179,52 +331,66 @@ fn event_loop(engine: &Engine, listener: TcpListener, mut poller: Poller) {
         if engine.stopping() {
             break;
         }
-        if poller.wait(&mut events, Some(tick)).is_err() {
+        if lp.poller.wait(&mut events, Some(tick)).is_err() {
             break;
         }
         for ev in &events {
-            if ev.token == LISTENER {
-                accept_ready(engine, &listener, &mut poller, &mut conns, &mut free);
-            } else {
-                let idx = ev.token.0 - 1;
-                // A slot freed earlier in this same batch can leave a
-                // stale event behind; with level-triggered readiness
-                // and drain-until-WouldBlock, skipping or spuriously
-                // servicing a reused slot are both harmless.
-                let mut closed = false;
-                if let Some(Some(conn)) = conns.get_mut(idx) {
-                    if ev.readable || ev.hangup {
-                        closed = conn_readable(engine, conn);
-                    }
-                    if !closed && (ev.writable || !conn.obuf.is_empty()) {
-                        closed = conn_flush(conn, &mut poller, ev.token);
+            if ev.token == SOURCE {
+                match &mut role {
+                    Role::Acceptor {
+                        listener,
+                        peers,
+                        next,
+                    } => accept_ready(engine, listener, peers, next, &mut lp),
+                    Role::Worker(mailbox) => {
+                        for stream in mailbox.recv() {
+                            lp.adopt(engine, stream);
+                        }
                     }
                 }
-                if closed {
-                    close_conn(engine, &mut poller, &mut conns, &mut free, idx);
+                continue;
+            }
+            let idx = ev.token.0 - 1;
+            // A slot freed earlier in this same batch can leave a
+            // stale event behind; with level-triggered readiness
+            // and drain-until-WouldBlock, skipping or spuriously
+            // servicing a reused slot are both harmless.
+            let mut closed = false;
+            if let Some(Some(conn)) = lp.conns.get_mut(idx) {
+                if ev.readable || ev.hangup {
+                    closed = conn_readable(engine, conn);
                 }
+                // A pending close must reach the flush step even with
+                // nothing queued: a clean EOF stays readable forever.
+                if !closed && (ev.writable || !conn.obuf.is_empty() || conn.close_after_flush) {
+                    closed = conn_flush(conn, &mut lp.poller, ev.token);
+                }
+            }
+            if closed {
+                lp.close(engine, idx);
             }
         }
         // Idle sweep: close connections that have gone too long
         // without completing a frame. Dribbled bytes don't reset the
         // clock — only whole frames do (slow-loris backstop).
         if let Some(idle) = engine.config.idle_timeout {
-            for idx in 0..conns.len() {
-                let expired = match &conns[idx] {
-                    Some(c) => c.last_frame.elapsed() >= idle,
-                    None => false,
-                };
-                if expired {
-                    close_conn(engine, &mut poller, &mut conns, &mut free, idx);
+            for idx in 0..lp.conns.len() {
+                if lp.conns[idx]
+                    .as_ref()
+                    .is_some_and(|c| c.last_frame.elapsed() >= idle)
+                {
+                    lp.close(engine, idx);
                 }
             }
         }
     }
     // Drain: stop accepting (loop exited), finish writing whatever is
     // already queued with a bounded blocking flush, close everything.
-    poller.deregister(os_fd(&listener), LISTENER).ok();
-    for idx in 0..conns.len() {
-        if let Some(conn) = &mut conns[idx] {
+    // Connections still in the inbox were never adopted or counted.
+    lp.poller.deregister(source, SOURCE).ok();
+    drop(role);
+    for idx in 0..lp.conns.len() {
+        if let Some(conn) = &mut lp.conns[idx] {
             if conn.osent < conn.obuf.len() {
                 // Bounded blocking flush (bytes/counters were already
                 // accounted at queue time).
@@ -237,19 +403,18 @@ fn event_loop(engine: &Engine, listener: TcpListener, mut poller: Poller) {
                 conn.osent = 0;
             }
         }
-        if conns[idx].is_some() {
-            close_conn(engine, &mut poller, &mut conns, &mut free, idx);
-        }
+        lp.close(engine, idx);
     }
 }
 
-/// Accept until `WouldBlock`, registering each new socket.
+/// Accept until `WouldBlock`, dealing each new socket to the next
+/// loop in round-robin order.
 fn accept_ready(
     engine: &Engine,
     listener: &TcpListener,
-    poller: &mut Poller,
-    conns: &mut Vec<Option<Conn>>,
-    free: &mut VecDeque<usize>,
+    peers: &[Handoff],
+    next: &mut usize,
+    lp: &mut Loop,
 ) {
     loop {
         match listener.accept() {
@@ -263,34 +428,13 @@ fn accept_ready(
                     continue;
                 }
                 let _ = stream.set_nodelay(true);
-                let idx = free.pop_front().unwrap_or_else(|| {
-                    conns.push(None);
-                    conns.len() - 1
-                });
-                let token = Token(idx + 1);
-                if poller
-                    .register(os_fd(&stream), token, Interest::READABLE)
-                    .is_err()
-                {
-                    engine.metrics.accept_errors.inc();
-                    free.push_back(idx);
-                    continue;
+                let target = *next % (peers.len() + 1);
+                *next = next.wrapping_add(1);
+                if target == 0 {
+                    lp.adopt(engine, stream);
+                } else {
+                    peers[target - 1].send(stream);
                 }
-                engine.metrics.connections_opened.inc();
-                engine.metrics.open_connections.add(1);
-                let peer = stream.peer_addr().ok();
-                conns[idx] = Some(Conn {
-                    stream,
-                    peer,
-                    ibuf: Vec::new(),
-                    start: 0,
-                    obuf: Vec::new(),
-                    osent: 0,
-                    want_write: false,
-                    close_after_flush: false,
-                    peer_closed: false,
-                    last_frame: Instant::now(),
-                });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -340,8 +484,8 @@ fn conn_readable(engine: &Engine, conn: &mut Conn) -> bool {
         let traced = word & FLAG_TRACE != 0;
         let len = word & !FLAG_TRACE;
         if len > engine.config.max_frame {
-            // Same contract as the threaded path: answer with the
-            // reason, then close — the unread body defeats resync.
+            // Answer with the reason, then close — the unread body
+            // defeats resync.
             m.protocol_errors.inc();
             queue_response(
                 engine,
@@ -375,8 +519,8 @@ fn conn_readable(engine: &Engine, conn: &mut Conn) -> bool {
         }
         let frame_end = conn.start + 4 + len as usize;
         // Strip the trace context off the front of the counted body;
-        // bytes_in counts the post-strip payload, keeping the
-        // deterministic counters identical to the threaded transport.
+        // bytes_in counts the post-strip payload, the bytes `dispatch`
+        // sees.
         let ctx = if traced {
             TraceContext::decode(&conn.ibuf[conn.start + 4..frame_end])
         } else {
@@ -439,9 +583,10 @@ fn conn_readable(engine: &Engine, conn: &mut Conn) -> bool {
     false
 }
 
-/// Serialize a response into the connection's outbound buffer,
-/// counting exactly as the threaded `write_response` does (queueing
-/// into the kernel-bound buffer is this transport's "written").
+/// Serialize a response into the connection's outbound buffer and
+/// count it as sent (queueing into the kernel-bound buffer is this
+/// transport's "written": a peer that has read its answer sees it
+/// counted in STATS).
 fn queue_response(engine: &Engine, conn: &mut Conn, resp: &Response) {
     let m = &engine.metrics;
     if matches!(resp, Response::Error { .. }) {
@@ -486,22 +631,6 @@ fn conn_flush(conn: &mut Conn, poller: &mut Poller, token: Token) -> bool {
     false
 }
 
-fn close_conn(
-    engine: &Engine,
-    poller: &mut Poller,
-    conns: &mut [Option<Conn>],
-    free: &mut VecDeque<usize>,
-    idx: usize,
-) {
-    if let Some(conn) = conns[idx].take() {
-        let _ = poller.deregister(os_fd(&conn.stream), Token(idx + 1));
-        drop(conn);
-        engine.metrics.connections_closed.inc();
-        engine.metrics.open_connections.add(-1);
-        free.push_back(idx);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,6 +659,31 @@ mod tests {
         assert!(stats.counters.frames_received >= 3);
         assert_eq!(stats.counters.open_connections, 1);
         drop(c);
+        server.shutdown();
+    }
+
+    #[test]
+    fn every_loop_serves_the_same_registry() {
+        let server = EventedFilterServer::bind("127.0.0.1:0", quick_config()).unwrap();
+        let addr = server.local_addr();
+        // Two laps of the round-robin: every loop adopts at least two
+        // connections, and each sees every other loop's writes.
+        let n = 2 * loop_count();
+        let mut clients: Vec<FilterClient> = (0..n)
+            .map(|_| FilterClient::connect(addr).unwrap())
+            .collect();
+        clients[0]
+            .create("shared", Backend::AtomicBloom, 1_000, 0.01, 0, 7)
+            .unwrap();
+        for (i, c) in clients.iter_mut().enumerate() {
+            c.insert("shared", &[i as u64]).unwrap();
+        }
+        let all: Vec<u64> = (0..n as u64).collect();
+        for c in &mut clients {
+            assert!(c.contains("shared", &all).unwrap().iter().all(|&b| b));
+        }
+        assert_eq!(server.metrics().open_connections.get(), n as i64);
+        drop(clients);
         server.shutdown();
     }
 

@@ -9,8 +9,9 @@
 //!
 //! Three design constraints shape everything here:
 //!
-//! 1. **Offline-buildable.** The container has no crates.io access, so
-//!    the stack is `std::net` + threads: no async runtime, no serde,
+//! 1. **Offline-buildable.** The workspace builds without crates.io,
+//!    so the stack is `std::net` plus an in-tree epoll readiness loop
+//!    (one per core): no async runtime, no serde,
 //!    no prometheus client. Serialization reuses
 //!    `filter_core::serial`, and observability is the in-tree
 //!    `telemetry` crate (atomic counters + fixed-bucket latency
@@ -32,9 +33,9 @@
 //! [`SerialError`]: filter_core::SerialError
 //!
 //! Module map: [`proto`] (framing + request/response codec),
-//! [`engine`] (registry + dispatch core shared by both transports),
-//! [`server`] (threaded transport: worker pool, graceful shutdown),
-//! [`evented`] (readiness-loop transport: epoll, pipelining),
+//! [`engine`] (registry + dispatch core behind the transport),
+//! [`evented`] (the server: one readiness loop per core, pipelining,
+//! graceful shutdown),
 //! [`cluster`] (consistent-hash routing + snapshot migration),
 //! [`client`] (blocking request/response client), [`metrics`]
 //! (counters, histograms, STATS report).
@@ -48,17 +49,16 @@ pub mod engine;
 pub mod evented;
 pub mod metrics;
 pub mod proto;
-pub mod server;
 
 pub use client::{ClientError, FilterClient};
 pub use cluster::{ClusterClient, ClusterError, HashRing, MigrationReport};
+pub use engine::{
+    build_atomic_bloom, build_compacting, build_sharded_cqf, build_sharded_cuckoo,
+    build_sharded_register_bloom, build_sharded_two_choice, cuckoo_fp_bits, register_metrics,
+    ServedFilter, ServerConfig,
+};
 pub use evented::EventedFilterServer;
 pub use metrics::{
     CountersSnapshot, FilterRow, HistogramSnapshot, LatencyHistogram, ServerMetrics, StatsReport,
 };
 pub use proto::{Backend, ErrorCode, Request, Response, DEFAULT_MAX_FRAME, PROTO_VERSION};
-pub use server::{
-    build_atomic_bloom, build_compacting, build_sharded_cqf, build_sharded_cuckoo,
-    build_sharded_register_bloom, build_sharded_two_choice, cuckoo_fp_bits, register_metrics,
-    FilterServer, ServedFilter, ServerConfig,
-};

@@ -13,7 +13,7 @@
 //! power of two — the honest resolution for a histogram this cheap.
 //!
 //! The same counters also feed the Prometheus-text METRICS exposition
-//! (see `server::render_metrics`); STATS remains the compact binary
+//! (see `engine::render_metrics`); STATS remains the compact binary
 //! path for programmatic clients.
 
 use filter_core::{ByteReader, ByteWriter, SerialError};
@@ -84,9 +84,7 @@ pub struct ServerMetrics {
     pub open_connections: Gauge,
     /// High-watermark of complete frames dispatched from one
     /// connection in a single readiness drain — the observed
-    /// pipelining depth. The threaded server reads one frame per
-    /// blocking read loop, so its watermark is pinned at 1; the
-    /// evented server reports how deep clients actually pipeline.
+    /// pipelining depth: how deep clients actually pipeline.
     pub pipelined_depth: Gauge,
     /// Server-side request service time (decode → response written).
     pub request_latency: LatencyHistogram,
@@ -245,14 +243,7 @@ impl StatsReport {
         w.put_u64(self.filters.len() as u64);
         for row in &self.filters {
             w.put_bytes(row.name.as_bytes());
-            w.put_u32(match row.backend {
-                crate::proto::Backend::AtomicBloom => 0,
-                crate::proto::Backend::ShardedCuckoo => 1,
-                crate::proto::Backend::ShardedCqf => 2,
-                crate::proto::Backend::RegisterBloom => 3,
-                crate::proto::Backend::Compacting => 4,
-                crate::proto::Backend::TwoChoiceBloom => 5,
-            });
+            w.put_u32(row.backend.to_u32());
             w.put_u64(row.len);
             w.put_u64(row.size_in_bytes);
         }
@@ -269,18 +260,9 @@ impl StatsReport {
         for _ in 0..n {
             let name = String::from_utf8(r.take_bytes()?)
                 .map_err(|_| SerialError::Corrupt("stats name not utf-8"))?;
-            let backend = match r.take_u32()? {
-                0 => crate::proto::Backend::AtomicBloom,
-                1 => crate::proto::Backend::ShardedCuckoo,
-                2 => crate::proto::Backend::ShardedCqf,
-                3 => crate::proto::Backend::RegisterBloom,
-                4 => crate::proto::Backend::Compacting,
-                5 => crate::proto::Backend::TwoChoiceBloom,
-                _ => return Err(SerialError::Corrupt("stats backend")),
-            };
             filters.push(FilterRow {
                 name,
-                backend,
+                backend: crate::proto::Backend::from_u32(r.take_u32()?)?,
                 len: r.take_u64()?,
                 size_in_bytes: r.take_u64()?,
             });

@@ -75,7 +75,8 @@ pub enum Backend {
 }
 
 impl Backend {
-    fn to_u32(self) -> u32 {
+    /// The wire tag (CREATE, SNAPSHOT blobs, STATS rows, slow log).
+    pub(crate) fn to_u32(self) -> u32 {
         match self {
             Backend::AtomicBloom => 0,
             Backend::ShardedCuckoo => 1,
@@ -86,7 +87,8 @@ impl Backend {
         }
     }
 
-    fn from_u32(v: u32) -> Result<Self, SerialError> {
+    /// Inverse of [`Backend::to_u32`].
+    pub(crate) fn from_u32(v: u32) -> Result<Self, SerialError> {
         match v {
             0 => Ok(Backend::AtomicBloom),
             1 => Ok(Backend::ShardedCuckoo),
@@ -98,7 +100,7 @@ impl Backend {
         }
     }
 
-    /// Human-readable backend name (STATS output).
+    /// Human-readable backend name (STATS output, slow log).
     pub fn name(&self) -> &'static str {
         match self {
             Backend::AtomicBloom => "atomic-bloom",

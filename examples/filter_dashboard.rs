@@ -13,7 +13,7 @@
 //! cargo run --release --example filter_dashboard
 //! ```
 
-use beyond_bloom::service::{Backend, FilterClient, FilterServer, ServerConfig};
+use beyond_bloom::service::{Backend, EventedFilterServer, FilterClient, ServerConfig};
 use beyond_bloom::telemetry::expo::{self, Exposition};
 use beyond_bloom::workloads::zipf::{rank_to_key, Zipf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -97,7 +97,7 @@ fn render(tick: usize, dt: f64, prev_keys: f64, expo: &Exposition, text: &str) -
 fn main() {
     // A 200us threshold on loopback batches yields a sparse, real
     // slow log rather than an empty or saturated one.
-    let server = FilterServer::bind(
+    let server = EventedFilterServer::bind(
         "127.0.0.1:0",
         ServerConfig {
             slow_request_threshold: Duration::from_micros(200),

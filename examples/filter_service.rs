@@ -8,7 +8,7 @@
 //! ```
 
 use beyond_bloom::core::hash::hash_bytes;
-use beyond_bloom::service::{Backend, FilterClient, FilterServer, ServerConfig};
+use beyond_bloom::service::{Backend, EventedFilterServer, FilterClient, ServerConfig};
 use beyond_bloom::workloads::urls::UrlWorkload;
 
 /// URLs are strings; the wire protocol carries `u64` keys, so client
@@ -19,7 +19,7 @@ fn url_key(url: &str) -> u64 {
 }
 
 fn main() {
-    let server = FilterServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let server = EventedFilterServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let addr = server.local_addr();
     println!("filter server listening on {addr}");
 

@@ -559,7 +559,7 @@ fn batched_matches_pointwise<F: beyond_bloom::core::BatchedFilter>(
 // ===============================================================
 
 proptest! {
-    // Each case boots a real threaded server, so fewer cases than the
+    // Each case boots a real server, so fewer cases than the
     // in-process suites above — the op interleavings inside a case do
     // the exploring.
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -580,7 +580,7 @@ proptest! {
         ),
         probes in prop::collection::vec(any::<u64>(), 1..64),
     ) {
-        use beyond_bloom::service::{Backend, FilterClient, FilterServer, ServerConfig};
+        use beyond_bloom::service::{Backend, EventedFilterServer, FilterClient, ServerConfig};
         let backends = [
             Backend::AtomicBloom,
             Backend::ShardedCuckoo,
@@ -588,14 +588,8 @@ proptest! {
             Backend::RegisterBloom,
             Backend::TwoChoiceBloom,
         ];
-        let server = FilterServer::bind(
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 2,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind ephemeral");
+        let server = EventedFilterServer::bind("127.0.0.1:0", ServerConfig::default())
+            .expect("bind ephemeral");
         let mut c = FilterClient::connect(server.local_addr()).unwrap();
         let mut model: HashMap<String, BTreeSet<u64>> = HashMap::new();
         for (kind, slot, keys) in ops {

@@ -1,20 +1,20 @@
 //! End-to-end tests for the filter service: a real server on an
-//! ephemeral loopback port, real TCP clients, and the three hostile
+//! ephemeral loopback port, real TCP clients, and the hostile
 //! scenarios the wire layer must survive (mid-frame disconnect,
-//! adversarial length prefix, racing shutdown). The CI workflow also
-//! runs this file in `--release` so socket timing and codegen match
-//! production.
+//! adversarial length prefix, short trace context, racing shutdown).
+//! The CI workflow also runs this file in `--release` so socket timing
+//! and codegen match production.
 
 use beyond_bloom::core::InsertFilter;
 use beyond_bloom::core::{BatchedFilter, Filter};
 use beyond_bloom::cuckoo::CuckooFilter;
 use beyond_bloom::quotient::CountingQuotientFilter;
-use beyond_bloom::service::proto::{write_frame, FrameEvent, FrameReader};
+use beyond_bloom::service::engine::{dispatch, Engine};
+use beyond_bloom::service::proto::{write_frame, FrameEvent, FrameReader, FLAG_TRACE};
 use beyond_bloom::service::{
     build_atomic_bloom, build_sharded_cqf, build_sharded_cuckoo, build_sharded_register_bloom,
     build_sharded_two_choice, Backend, ClientError, ClusterClient, CountersSnapshot, ErrorCode,
-    EventedFilterServer, FilterClient, FilterServer, Request, Response, ServerConfig,
-    DEFAULT_MAX_FRAME,
+    EventedFilterServer, FilterClient, Request, Response, ServerConfig, DEFAULT_MAX_FRAME,
 };
 use beyond_bloom::workloads::{disjoint_keys, unique_keys, zipf_keys};
 use std::io::{Read, Write};
@@ -23,14 +23,13 @@ use std::time::{Duration, Instant};
 
 fn test_config() -> ServerConfig {
     ServerConfig {
-        workers: 2,
         read_timeout: Duration::from_millis(10),
         ..ServerConfig::default()
     }
 }
 
-fn start() -> (FilterServer, std::net::SocketAddr) {
-    let server = FilterServer::bind("127.0.0.1:0", test_config()).expect("bind ephemeral");
+fn start() -> (EventedFilterServer, std::net::SocketAddr) {
+    let server = EventedFilterServer::bind("127.0.0.1:0", test_config()).expect("bind ephemeral");
     let addr = server.local_addr();
     (server, addr)
 }
@@ -417,7 +416,7 @@ fn error_codes_are_precise() {
 
 // ---------------------------------------------------------------
 // Robustness: a peer dying mid-frame or shipping an absurd length
-// prefix must not wedge or crash a worker; the server keeps accepting
+// prefix must not wedge or crash a loop; the server keeps accepting
 // and STATS records the event.
 // ---------------------------------------------------------------
 
@@ -435,8 +434,8 @@ fn mid_frame_disconnect_does_not_wedge_server() {
         rude.write_all(&[0xab; 10]).unwrap();
     } // dropped: RST/EOF mid-frame
 
-    // The worker that served the rude client is released and the
-    // server still answers on both old and new connections.
+    // The rude client's connection is reaped and the server still
+    // answers on both old and new connections.
     let stats = wait_for_stats(&mut c, |s| s.counters.disconnects_mid_frame >= 1);
     assert!(
         stats.counters.disconnects_mid_frame >= 1,
@@ -513,6 +512,60 @@ fn malformed_payload_gets_error_response_and_connection_survives() {
     server.shutdown();
 }
 
+#[test]
+fn short_trace_context_is_refused_then_closed() {
+    let (server, addr) = start();
+    let mut poll = FilterClient::connect(addr).unwrap();
+    let base = poll.stats().unwrap().counters.protocol_errors;
+
+    // A traced frame announces a 16-byte trace context up front; a
+    // 5-byte body cannot hold one. One BadFrame answer, then close.
+    let mut rude = RawConn::connect(addr);
+    let mut wire = (FLAG_TRACE | 5).to_le_bytes().to_vec();
+    wire.extend_from_slice(&[0x7e; 5]);
+    rude.stream.write_all(&wire).unwrap();
+    match Response::decode(&rude.recv()).unwrap() {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
+        other => panic!("expected BadFrame, got {other:?}"),
+    }
+    match rude.reader.read_frame() {
+        Ok(FrameEvent::Closed) | Err(_) => {}
+        Ok(FrameEvent::Frame(..)) => panic!("a second response after the refusal"),
+    }
+    assert_eq!(poll.stats().unwrap().counters.protocol_errors, base + 1);
+
+    drop((poll, rude));
+    server.shutdown();
+}
+
+#[test]
+fn cleanly_closed_connections_are_reaped() {
+    let (server, addr) = start();
+    let mut poll = FilterClient::connect(addr).unwrap();
+    let base = poll.stats().unwrap().counters.open_connections;
+
+    // EOF on a frame boundary with nothing queued: the server must
+    // close its end, not keep servicing a level-triggered EOF forever.
+    let mut brief = FilterClient::connect(addr).unwrap();
+    assert_eq!(brief.stats().unwrap().counters.open_connections, base + 1);
+    drop(brief);
+
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let open = poll.stats().unwrap().counters.open_connections;
+        if open == base {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{open} connections still open 2 s after a clean close (baseline {base})"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(poll);
+    server.shutdown();
+}
+
 // ---------------------------------------------------------------
 // Graceful shutdown drains in-flight work and joins every thread.
 // ---------------------------------------------------------------
@@ -533,7 +586,7 @@ fn shutdown_drains_in_flight_requests() {
         busy.insert("t", &keys)
     });
     std::thread::sleep(Duration::from_millis(5));
-    server.shutdown(); // joins accept + workers; must not deadlock
+    server.shutdown(); // joins every loop; must not deadlock
     match handle.join().expect("client thread must not panic") {
         Ok(()) | Err(ClientError::ServerClosed) | Err(ClientError::Io(_)) => {}
         Err(e) => panic!("unexpected drain outcome: {e}"),
@@ -559,10 +612,9 @@ fn metrics_exposition_is_valid_and_spans_layers() {
     // quotient, concurrent, and the service itself. A zero
     // slow-request threshold makes every request slow, so the
     // slow-request log is guaranteed non-empty.
-    let server = FilterServer::bind(
+    let server = EventedFilterServer::bind(
         "127.0.0.1:0",
         ServerConfig {
-            workers: 2,
             read_timeout: Duration::from_millis(10),
             slow_request_threshold: Duration::ZERO,
             ..ServerConfig::default()
@@ -702,9 +754,9 @@ fn metrics_exposition_is_valid_and_spans_layers() {
     drop(c);
     server.shutdown();
 
-    // The evented transport renders the same exposition through the
-    // same engine: spot-check the server families over its wire.
-    let server = EventedFilterServer::bind("127.0.0.1:0", test_config()).expect("bind evented");
+    // A fresh server (fresh registry): spot-check the server families
+    // again, then push the inventory past its series cap.
+    let server = EventedFilterServer::bind("127.0.0.1:0", test_config()).expect("bind fresh");
     let mut c = FilterClient::connect(server.local_addr()).unwrap();
     c.create("mx-ev", Backend::AtomicBloom, 10_000, 0.01, 0, 14)
         .unwrap();
@@ -725,7 +777,7 @@ fn metrics_exposition_is_valid_and_spans_layers() {
     }
     let text = c.metrics_text().unwrap();
     let expo = beyond_bloom::telemetry::expo::parse(&text)
-        .unwrap_or_else(|e| panic!("evented exposition failed validation: {e}\n---\n{text}"));
+        .unwrap_or_else(|e| panic!("second exposition failed validation: {e}\n---\n{text}"));
     for fam in [
         "bb_server_frames_received_total",
         "bb_server_accept_errors_total",
@@ -738,7 +790,7 @@ fn metrics_exposition_is_valid_and_spans_layers() {
     assert_eq!(
         expo.value("bb_simd_level").unwrap(),
         beyond_bloom::core::simd::active_level().code() as f64,
-        "evented transport must export the same SIMD tier gauge"
+        "every server must export the SIMD tier gauge"
     );
     // 71 registered filters, 64-series inventory cap: exactly 7
     // omitted, and the gauge says so.
@@ -757,18 +809,20 @@ fn metrics_exposition_is_valid_and_spans_layers() {
 }
 
 // ===============================================================
-// Threaded-vs-evented equivalence: one scripted CRUD + batch +
-// adversarial sequence, run verbatim against both transports, must
-// produce byte-identical response frames and identical deltas for
-// every deterministic counter. Parity is by construction (both
-// transports funnel through `engine::dispatch`); this test pins it.
+// Wire-vs-dispatch equivalence: one scripted CRUD + batch +
+// adversarial sequence over the wire must answer every well-framed
+// payload with exactly the bytes `engine::dispatch` returns on a
+// fresh engine fed the same payloads in order, and must move every
+// deterministic counter by exactly what those payloads account for.
 // ===============================================================
 
 /// A raw frame-level connection: lets the script control exactly
-/// what bytes hit the wire and capture exactly what comes back.
+/// what bytes hit the wire, capture exactly what comes back, and log
+/// every well-framed payload it sent.
 struct RawConn {
     stream: TcpStream,
     reader: FrameReader<TcpStream>,
+    sent: Vec<Vec<u8>>,
 }
 
 impl RawConn {
@@ -776,11 +830,21 @@ impl RawConn {
         let stream = TcpStream::connect(addr).expect("connect");
         stream.set_nodelay(true).unwrap();
         let reader = FrameReader::new(stream.try_clone().unwrap(), DEFAULT_MAX_FRAME);
-        RawConn { stream, reader }
+        RawConn {
+            stream,
+            reader,
+            sent: Vec::new(),
+        }
     }
 
-    fn send(&mut self, req: &Request) {
-        write_frame(&mut self.stream, &req.encode()).expect("send frame");
+    /// Frame every payload, write them all in one burst, and log them.
+    fn send_payloads(&mut self, payloads: Vec<Vec<u8>>) {
+        let mut wire = Vec::new();
+        for p in &payloads {
+            write_frame(&mut wire, p).expect("frame");
+        }
+        self.stream.write_all(&wire).expect("send frames");
+        self.sent.extend(payloads);
     }
 
     fn recv(&mut self) -> Vec<u8> {
@@ -791,7 +855,7 @@ impl RawConn {
     }
 
     fn call(&mut self, req: &Request) -> Vec<u8> {
-        self.send(req);
+        self.send_payloads(vec![req.encode()]);
         self.recv()
     }
 }
@@ -820,10 +884,9 @@ fn blob_req(name: &str, backend: Backend, blob: Vec<u8>) -> Request {
     }
 }
 
-/// The deterministic counters a scripted workload must move
-/// identically on both transports. Latency, slow-request, and
-/// connection-lifecycle counters are excluded: they depend on timing,
-/// not on what was served.
+/// The counters a scripted workload moves deterministically.
+/// Latency, slow-request, and connection-lifecycle counters are
+/// excluded: they depend on timing, not on what was served.
 fn deterministic_counters(c: &CountersSnapshot) -> [u64; 8] {
     [
         c.frames_received,
@@ -837,11 +900,23 @@ fn deterministic_counters(c: &CountersSnapshot) -> [u64; 8] {
     ]
 }
 
-/// Run the scripted workload against a server and return every raw
-/// response payload plus the deterministic-counter delta it caused.
-fn equivalence_script(addr: SocketAddr) -> (Vec<Vec<u8>>, [u64; 8]) {
-    let mut out: Vec<Vec<u8>> = Vec::new();
-    let mut poll = FilterClient::connect(addr).expect("poll client");
+/// What one scripted run sent and saw.
+struct ScriptRun {
+    /// Every well-framed payload, in send order (one connection).
+    sent: Vec<Vec<u8>>,
+    /// The response to each, in the same order.
+    responses: Vec<Vec<u8>>,
+    /// The answer to an absurd length prefix on its own connection.
+    oversized: Vec<u8>,
+    /// Deterministic-counter delta over the script.
+    delta: [u64; 8],
+}
+
+/// Run the scripted workload against a server. Counters are read
+/// in-process, so the script's own frames are the only traffic.
+fn equivalence_script(server: &EventedFilterServer) -> ScriptRun {
+    let addr = server.local_addr();
+    let counters = || server.metrics().snapshot();
 
     // Adversarial prologue: a peer that announces a frame, sends a
     // fragment, and vanishes. Detection is asynchronous, so it runs
@@ -851,14 +926,18 @@ fn equivalence_script(addr: SocketAddr) -> (Vec<Vec<u8>>, [u64; 8]) {
         rude.write_all(&512u32.to_le_bytes()).unwrap();
         rude.write_all(&[0x5a; 8]).unwrap();
     }
-    let s = wait_for_stats(&mut poll, |s| s.counters.disconnects_mid_frame >= 1);
-    assert_eq!(s.counters.disconnects_mid_frame, 1, "exactly one rude peer");
-    let base = deterministic_counters(&poll.stats().unwrap().counters);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while counters().disconnects_mid_frame < 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(counters().disconnects_mid_frame, 1, "exactly one rude peer");
+    let base = deterministic_counters(&counters());
 
     let keys = unique_keys(0xe2_4001, 4_000);
     let probes = disjoint_keys(0xe2_4002, 2_000, &keys);
     let all: Vec<u64> = keys.iter().chain(&probes).copied().collect();
 
+    let mut out: Vec<Vec<u8>> = Vec::new();
     let mut c = RawConn::connect(addr);
 
     // CREATE one instance of every backend family.
@@ -875,22 +954,21 @@ fn equivalence_script(addr: SocketAddr) -> (Vec<Vec<u8>>, [u64; 8]) {
     }
 
     // Pipelined burst: 24 INSERT frames written back-to-back before
-    // any response is read. The threaded transport serves them
-    // sequentially; the evented transport drains them as pipelined
-    // work. In-order responses are part of the wire contract.
+    // any response is read, drained as pipelined work. In-order
+    // responses are part of the wire contract.
     let mut burst = Vec::new();
     for name in ["eq-b", "eq-c", "eq-q", "eq-r", "eq-t", "eq-l"] {
         for chunk in keys.chunks(1_000) {
-            let payload = Request::Insert {
-                name: name.to_string(),
-                keys: chunk.to_vec(),
-            }
-            .encode();
-            burst.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            burst.extend_from_slice(&payload);
+            burst.push(
+                Request::Insert {
+                    name: name.to_string(),
+                    keys: chunk.to_vec(),
+                }
+                .encode(),
+            );
         }
     }
-    c.stream.write_all(&burst).unwrap();
+    c.send_payloads(burst);
     for _ in 0..24 {
         out.push(c.recv());
     }
@@ -911,9 +989,8 @@ fn equivalence_script(addr: SocketAddr) -> (Vec<Vec<u8>>, [u64; 8]) {
     }));
     // MULTI_CONTAINS over inserted keys: every key was inserted into
     // all six filters, so the per-key name lists are exact and
-    // bit-stable on both transports. Negative probes are excluded —
-    // a compacting-backend false positive would depend on background
-    // compaction timing.
+    // bit-stable. Negative probes are excluded — a compacting-backend
+    // false positive would depend on background compaction timing.
     out.push(c.call(&Request::MultiContains {
         keys: keys[..500].to_vec(),
     }));
@@ -988,12 +1065,13 @@ fn equivalence_script(addr: SocketAddr) -> (Vec<Vec<u8>>, [u64; 8]) {
 
     // A well-framed garbage payload: BadFrame answer, framing stays
     // in sync, connection survives.
-    write_frame(&mut c.stream, &[0u8; 16]).unwrap();
+    c.send_payloads(vec![vec![0u8; 16]]);
     out.push(c.recv());
     out.push(c.call(&Request::Contains {
         name: "eq-b".to_string(),
         keys: keys[..10].to_vec(),
     }));
+    let sent = std::mem::take(&mut c.sent);
     drop(c);
 
     // An absurd length prefix on its own connection: answered with
@@ -1001,44 +1079,68 @@ fn equivalence_script(addr: SocketAddr) -> (Vec<Vec<u8>>, [u64; 8]) {
     // counting synchronous.
     let mut rude = RawConn::connect(addr);
     rude.stream.write_all(&u32::MAX.to_le_bytes()).unwrap();
-    out.push(rude.recv());
+    let oversized = rude.recv();
     drop(rude);
 
-    let fin = poll.stats().unwrap().counters;
+    let fin = counters();
     assert_eq!(fin.disconnects_mid_frame, 1);
     let finals = deterministic_counters(&fin);
     let mut delta = [0u64; 8];
     for i in 0..8 {
         delta[i] = finals[i] - base[i];
     }
-    (out, delta)
+    ScriptRun {
+        sent,
+        responses: out,
+        oversized,
+        delta,
+    }
 }
 
 #[test]
-fn threaded_and_evented_transports_are_bit_identical() {
-    // Four workers: the script holds a poll client and a scripted
-    // connection open while transient adversarial peers connect.
-    let config = || ServerConfig {
-        workers: 4,
-        read_timeout: Duration::from_millis(10),
-        ..ServerConfig::default()
-    };
+fn wire_responses_match_in_process_dispatch() {
+    let server = EventedFilterServer::bind("127.0.0.1:0", test_config()).expect("bind");
+    let run = equivalence_script(&server);
+    server.shutdown();
 
-    let threaded = FilterServer::bind("127.0.0.1:0", config()).expect("bind threaded");
-    let (t_resp, t_delta) = equivalence_script(threaded.local_addr());
-    threaded.shutdown();
-
-    let evented = EventedFilterServer::bind("127.0.0.1:0", config()).expect("bind evented");
-    let (e_resp, e_delta) = equivalence_script(evented.local_addr());
-    evented.shutdown();
-
-    assert_eq!(t_resp.len(), e_resp.len(), "response count diverged");
-    for (i, (t, e)) in t_resp.iter().zip(&e_resp).enumerate() {
-        assert_eq!(t, e, "response #{i} diverged between transports");
+    // The oracle: a fresh engine fed the same payloads in order.
+    let oracle = Engine::new(test_config());
+    let expected: Vec<Vec<u8>> = run
+        .sent
+        .iter()
+        .map(|p| dispatch(&oracle, p).0.encode())
+        .collect();
+    assert_eq!(run.responses.len(), expected.len(), "response count");
+    for (i, (wire, want)) in run.responses.iter().zip(&expected).enumerate() {
+        assert_eq!(wire, want, "response #{i} diverged from dispatch");
     }
+    match Response::decode(&run.oversized).unwrap() {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
+        other => panic!("expected BadFrame for the oversized prefix, got {other:?}"),
+    }
+
+    // Counters: the transport counts frames, responses and bytes; the
+    // engine counts keys and decode failures. The oversized prefix
+    // adds one protocol error and one error response of its own.
+    let o = oracle.metrics().snapshot();
+    let len = |v: &[Vec<u8>]| v.iter().map(|p| p.len() as u64).sum::<u64>();
+    let errors = expected
+        .iter()
+        .filter(|r| matches!(Response::decode(r), Ok(Response::Error { .. })))
+        .count() as u64;
+    let want = [
+        run.sent.len() as u64,
+        run.sent.len() as u64 + 1,
+        o.protocol_errors + 1,
+        errors + 1,
+        o.keys_processed,
+        o.batched_ops,
+        len(&run.sent),
+        len(&expected) + run.oversized.len() as u64,
+    ];
     assert_eq!(
-        t_delta, e_delta,
-        "deterministic STATS deltas diverged \
+        run.delta, want,
+        "deterministic STATS delta diverged from dispatch \
          [frames, responses, proto_errs, err_responses, keys, batched, bytes_in, bytes_out]"
     );
 }
@@ -1050,93 +1152,85 @@ fn threaded_and_evented_transports_are_bit_identical() {
 // ===============================================================
 
 #[test]
-fn byte_dribbled_frame_survives_read_timeouts_on_both_transports() {
-    let config = || ServerConfig {
-        workers: 2,
-        read_timeout: Duration::from_millis(5),
-        idle_timeout: Some(Duration::from_secs(10)),
-        ..ServerConfig::default()
-    };
-    let threaded = FilterServer::bind("127.0.0.1:0", config()).expect("bind threaded");
-    let evented = EventedFilterServer::bind("127.0.0.1:0", config()).expect("bind evented");
-
-    for addr in [threaded.local_addr(), evented.local_addr()] {
-        let mut c = RawConn::connect(addr);
-        let payload = Request::Stats.encode();
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        wire.extend_from_slice(&payload);
-        // Each byte lands several read-timeout periods after the
-        // last: the server sees WouldBlock over and over mid-frame
-        // and must keep waiting, because bytes ARE arriving before
-        // the idle deadline.
-        for &b in &wire {
-            c.stream.write_all(&[b]).unwrap();
-            std::thread::sleep(Duration::from_millis(15));
-        }
-        match Response::decode(&c.recv()).unwrap() {
-            Response::Stats(s) => assert!(s.counters.frames_received >= 1),
-            other => panic!("expected stats answer to dribbled frame, got {other:?}"),
-        }
+fn byte_dribbled_frame_survives_read_timeouts() {
+    let server = EventedFilterServer::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            read_timeout: Duration::from_millis(5),
+            idle_timeout: Some(Duration::from_secs(10)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut c = RawConn::connect(server.local_addr());
+    let payload = Request::Stats.encode();
+    let mut wire = Vec::new();
+    wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    wire.extend_from_slice(&payload);
+    // Each byte lands several read-timeout periods after the last:
+    // the server sees WouldBlock over and over mid-frame and must
+    // keep waiting, because bytes ARE arriving before the idle
+    // deadline.
+    for &b in &wire {
+        c.stream.write_all(&[b]).unwrap();
+        std::thread::sleep(Duration::from_millis(15));
     }
-    threaded.shutdown();
-    evented.shutdown();
+    match Response::decode(&c.recv()).unwrap() {
+        Response::Stats(s) => assert!(s.counters.frames_received >= 1),
+        other => panic!("expected stats answer to dribbled frame, got {other:?}"),
+    }
+    server.shutdown();
 }
 
 #[test]
-fn idle_deadline_evicts_stalled_connections_on_both_transports() {
-    let config = || ServerConfig {
-        workers: 2,
-        read_timeout: Duration::from_millis(5),
-        idle_timeout: Some(Duration::from_millis(60)),
-        ..ServerConfig::default()
-    };
-    let threaded = FilterServer::bind("127.0.0.1:0", config()).expect("bind threaded");
-    let evented = EventedFilterServer::bind("127.0.0.1:0", config()).expect("bind evented");
-
-    for addr in [threaded.local_addr(), evented.local_addr()] {
-        let mut stalled = TcpStream::connect(addr).unwrap();
-        stalled.write_all(&[0x01, 0x02]).unwrap(); // partial prefix, then silence
-        stalled
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let mut byte = [0u8; 1];
-        // The server must close us: EOF or reset, never a response
-        // (we never completed a frame) and never a 5s hang.
-        let t0 = Instant::now();
-        match stalled.read(&mut byte) {
-            Ok(0) | Err(_) => {}
-            Ok(n) => panic!("server answered {n} bytes to an incomplete frame"),
-        }
-        assert!(
-            t0.elapsed() < Duration::from_secs(4),
-            "idle eviction did not happen before the read timeout"
-        );
-        // The server is still accepting and serving after eviction.
-        let mut fresh = FilterClient::connect(addr).unwrap();
-        assert!(fresh.stats().is_ok());
+fn idle_deadline_evicts_stalled_connections() {
+    let server = EventedFilterServer::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            read_timeout: Duration::from_millis(5),
+            idle_timeout: Some(Duration::from_millis(60)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    stalled.write_all(&[0x01, 0x02]).unwrap(); // partial prefix, then silence
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut byte = [0u8; 1];
+    // The server must close us: EOF or reset, never a response (we
+    // never completed a frame) and never a 5s hang.
+    let t0 = Instant::now();
+    match stalled.read(&mut byte) {
+        Ok(0) | Err(_) => {}
+        Ok(n) => panic!("server answered {n} bytes to an incomplete frame"),
     }
-    threaded.shutdown();
-    evented.shutdown();
+    assert!(
+        t0.elapsed() < Duration::from_secs(4),
+        "idle eviction did not happen before the read timeout"
+    );
+    // The server is still accepting and serving after eviction.
+    let mut fresh = FilterClient::connect(addr).unwrap();
+    assert!(fresh.stats().is_ok());
+    server.shutdown();
 }
 
 // ===============================================================
-// Cluster mode: consistent-hash routing across live servers (mixed
-// transports), node add with shard migration, node removal, and
-// replication — the filter keeps answering correctly throughout.
+// Cluster mode: consistent-hash routing across live servers, node
+// add with shard migration, node removal, and replication — the
+// filter keeps answering correctly throughout.
 // ===============================================================
 
 #[test]
 fn cluster_routes_migrates_and_replicates_across_live_servers() {
-    let config = || ServerConfig {
-        workers: 4,
-        read_timeout: Duration::from_millis(10),
-        ..ServerConfig::default()
+    let bind = |label: &str| {
+        EventedFilterServer::bind("127.0.0.1:0", test_config())
+            .unwrap_or_else(|e| panic!("bind {label}: {e}"))
     };
-    // Mixed transports on purpose: the cluster client must not be
-    // able to tell a threaded member from an evented one.
-    let node_a = FilterServer::bind("127.0.0.1:0", config()).expect("bind a");
-    let node_b = EventedFilterServer::bind("127.0.0.1:0", config()).expect("bind b");
+    let node_a = bind("a");
+    let node_b = bind("b");
     let (addr_a, addr_b) = (node_a.local_addr(), node_b.local_addr());
 
     let mut cluster = ClusterClient::new(vec![addr_a, addr_b]).expect("cluster");
@@ -1185,7 +1279,7 @@ fn cluster_routes_migrates_and_replicates_across_live_servers() {
 
     // Grow the cluster: only the arcs now owned by the new node move,
     // every migration lands on it, and nothing is lost.
-    let node_c = EventedFilterServer::bind("127.0.0.1:0", config()).expect("bind c");
+    let node_c = bind("c");
     let addr_c = node_c.local_addr();
     let report = cluster.add_node(addr_c).expect("add node");
     assert_eq!(report.moved.len() + report.retained, 24);
@@ -1244,7 +1338,7 @@ fn cluster_routes_migrates_and_replicates_across_live_servers() {
 // ===============================================================
 // Distributed tracing: one traced probe at the cluster client must
 // assemble into a single cross-process trace spanning client
-// routing, both transports' servers, engine dispatch, the Bloofi
+// routing, both servers, engine dispatch, the Bloofi
 // descent — and, when the traced insert seals a memtable, a span
 // linked to the background compaction that drains it.
 // ===============================================================
@@ -1302,15 +1396,8 @@ fn trace_route_assembles_one_cross_process_trace() {
     if beyond_bloom::telemetry::compiled_out() {
         return; // tracing compiles out with telemetry-off
     }
-    let config = || ServerConfig {
-        workers: 2,
-        read_timeout: Duration::from_millis(10),
-        ..ServerConfig::default()
-    };
-    // Mixed transports on purpose: the assembled trace must not care
-    // whether a server span came from a thread or an event loop.
-    let node_a = FilterServer::bind("127.0.0.1:0", config()).expect("bind threaded");
-    let node_b = EventedFilterServer::bind("127.0.0.1:0", config()).expect("bind evented");
+    let node_a = EventedFilterServer::bind("127.0.0.1:0", test_config()).expect("bind a");
+    let node_b = EventedFilterServer::bind("127.0.0.1:0", test_config()).expect("bind b");
     let (addr_a, addr_b) = (node_a.local_addr(), node_b.local_addr());
     let mut cluster = ClusterClient::new(vec![addr_a, addr_b]).expect("cluster");
 
