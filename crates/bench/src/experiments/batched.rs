@@ -8,20 +8,42 @@
 //! cache-resident table and on a DRAM-resident one where the probe
 //! stream is miss-dominated and memory-level parallelism matters.
 //!
+//! The write path gets the same treatment: for every backend the
+//! service serves, built with the service's own `build_*`
+//! constructors, pointwise `insert` against `insert_batch` in batches
+//! of 64 keys, on the DRAM-resident size.
+//!
 //! Env knobs (for the CI perf-smoke job):
 //! - `E20_QUICK=1` shrinks sizes and repetitions to finish in seconds.
 //! - `E20_ASSERT=1` prints a `gate: PASS`/`gate: FAIL` line asserting
-//!   batched throughput at width 256 is at least 0.9× scalar for every
-//!   family — an anti-pessimization gate, not a speedup guarantee
-//!   (shared CI boxes are too noisy to assert the win itself).
+//!   that the best batched probe width is at least 0.9× scalar for
+//!   every family, and batched insert at least 0.9× pointwise for
+//!   every served backend — an anti-pessimization gate, not a speedup
+//!   guarantee (shared CI boxes are too noisy to assert the win
+//!   itself).
 
 use super::header;
 use filter_core::{BatchedFilter, InsertFilter};
+use service::{
+    build_atomic_bloom, build_compacting, build_sharded_cqf, build_sharded_cuckoo,
+    build_sharded_register_bloom, build_sharded_two_choice,
+};
 use std::time::Instant;
 use workloads::{disjoint_keys, unique_keys};
 
 /// Batch widths handed to `contains_many`; 32 equals `PROBE_CHUNK`.
 const WIDTHS: [usize; 4] = [1, 8, 32, 256];
+
+/// Keys per `insert_batch` call in the insert table.
+const INSERT_BATCH: usize = 64;
+
+/// Capacity of every filter in the insert table: past L2 for every
+/// backend, so an insert's line is a miss the batched path can overlap.
+const INSERT_CAPACITY: usize = 1 << 22;
+
+/// Paired rounds per backend in the insert table (odd: the median
+/// ratio is one round's).
+const INSERT_ROUNDS: usize = 5;
 
 struct FamilyResult {
     name: &'static str,
@@ -71,7 +93,133 @@ fn bench_family<F: BatchedFilter>(
     }
 }
 
-/// E20: scalar vs batched lookup throughput per family.
+/// Time inserting `keys` into fresh filters key by key and in batches
+/// of [`INSERT_BATCH`], with E22's paired protocol: [`INSERT_ROUNDS`]
+/// rounds of one pass per mode, alternating which goes first, so host
+/// drift between rounds cancels. Building and dropping (which joins a
+/// compacting filter's worker) are untimed. Returns the median
+/// pointwise Mops, the median batched Mops and the median per-round
+/// batched/pointwise ratio.
+fn bench_insert<F>(
+    build: impl Fn() -> F,
+    insert: impl Fn(&F, u64),
+    insert_batch: impl Fn(&F, &[u64]),
+    keys: &[u64],
+) -> (f64, f64, f64) {
+    let pass = |batched: bool| {
+        let f = build();
+        let t0 = Instant::now();
+        if batched {
+            keys.chunks(INSERT_BATCH).for_each(|b| insert_batch(&f, b));
+        } else {
+            keys.iter().for_each(|&k| insert(&f, k));
+        }
+        let m = mops(keys.len(), t0.elapsed());
+        drop(f);
+        m
+    };
+    let rounds: Vec<(f64, f64)> = (0..INSERT_ROUNDS)
+        .map(|r| {
+            if r % 2 == 0 {
+                let p = pass(false);
+                (p, pass(true))
+            } else {
+                let b = pass(true);
+                (pass(false), b)
+            }
+        })
+        .collect();
+    let median = |of: &dyn Fn(&(f64, f64)) -> f64| {
+        let mut v: Vec<f64> = rounds.iter().map(of).collect();
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (median(&|r| r.0), median(&|r| r.1), median(&|r| r.1 / r.0))
+}
+
+/// The insert table: pointwise vs batch-64 inserts of `n` keys into
+/// every served backend, built as the service builds it at
+/// [`INSERT_CAPACITY`]. Returns whether every backend's median paired
+/// ratio kept batched at least 0.9× pointwise.
+fn insert_table(n: usize) -> bool {
+    const EPS: f64 = 0.01;
+    const SHARD_BITS: u32 = 4;
+    const SEED: u64 = 0xe20;
+    let cap = INSERT_CAPACITY as u64;
+    let keys = unique_keys(2_022, n);
+    let rows = [
+        (
+            "atomic-bloom",
+            bench_insert(
+                || build_atomic_bloom(cap, EPS, SEED),
+                |f, k| f.insert(k),
+                |f, b| f.insert_batch(b),
+                &keys,
+            ),
+        ),
+        (
+            "sharded-cuckoo",
+            bench_insert(
+                || build_sharded_cuckoo(cap, EPS, SHARD_BITS, SEED),
+                |f, k| f.insert(k).unwrap(),
+                |f, b| f.insert_batch(b).unwrap(),
+                &keys,
+            ),
+        ),
+        (
+            "sharded-cqf",
+            bench_insert(
+                || build_sharded_cqf(cap, EPS, SHARD_BITS, SEED),
+                |f, k| f.insert(k).unwrap(),
+                |f, b| f.insert_batch(b).unwrap(),
+                &keys,
+            ),
+        ),
+        (
+            "register-bloom",
+            bench_insert(
+                || build_sharded_register_bloom(cap, EPS, SHARD_BITS, SEED),
+                |f, k| f.insert(k).unwrap(),
+                |f, b| f.insert_batch(b).unwrap(),
+                &keys,
+            ),
+        ),
+        (
+            "compacting",
+            bench_insert(
+                || build_compacting(cap, EPS, SEED),
+                |f, k| f.insert(k),
+                |f, b| f.insert_batch(b),
+                &keys,
+            ),
+        ),
+        (
+            "two-choice-bloom",
+            bench_insert(
+                || build_sharded_two_choice(cap, EPS, SHARD_BITS, SEED),
+                |f, k| f.insert(k).unwrap(),
+                |f, b| f.insert_batch(b).unwrap(),
+                &keys,
+            ),
+        ),
+    ];
+    println!(
+        "\ninserts, served backends at capacity {INSERT_CAPACITY}, {n} keys per pass, \
+         batch {INSERT_BATCH}, median of {INSERT_ROUNDS} paired rounds, Mops:"
+    );
+    println!(
+        "{:<18} {:>9} {:>9} {:>16}",
+        "backend", "pointwise", "batched", "batched/pointwise"
+    );
+    let mut pass = true;
+    for (name, (point, batched, ratio)) in rows {
+        println!("{name:<18} {point:>9.2} {batched:>9.2} {ratio:>15.2}x");
+        pass &= ratio >= 0.9;
+    }
+    pass
+}
+
+/// E20: scalar vs batched lookup and insert throughput per family.
 pub fn e20_batched() -> bool {
     header(
         "E20 — batched probe kernels (scalar vs contains_many)",
@@ -172,9 +320,12 @@ pub fn e20_batched() -> bool {
         }
     }
 
+    all_pass &= insert_table(if quick { 1 << 19 } else { 1 << 21 });
+
     if assert_gate {
         println!(
-            "\ne20 gate (best batched width >= 0.9x scalar for every family): {}",
+            "\ne20 gate (best batched width >= 0.9x scalar for every family, \
+             batched insert >= 0.9x pointwise for every served backend): {}",
             if all_pass { "PASS" } else { "FAIL" }
         );
     }

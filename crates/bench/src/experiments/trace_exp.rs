@@ -16,7 +16,7 @@
 //! goes first so within-round drift cancels; captured traces are
 //! drained between passes like a polling collector would. The gated
 //! overhead is the smaller of the min-of-passes ratio and the median
-//! paired ratio (see [`CaseResult::overhead`]); throughputs are
+//! paired ratio (see `CaseResult::overhead`); throughputs are
 //! printed from the per-mode minimum.
 //!
 //! Besides the human-readable table, the run writes `BENCH_E27.json`

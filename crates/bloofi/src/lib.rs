@@ -14,9 +14,10 @@
 //! selects one block by `h1 % node_blocks` and an 8-bit-lane mask
 //! from `h2` ([`filter_core::simd::block_mask_256`]), so an
 //! interior-node probe is one mask build plus one `testc`
-//! ([`filter_core::simd::covered_256`]) and the OR maintenance is
-//! four `fetch_or`s. Identical geometry at every level is what makes
-//! the OR well-defined.
+//! ([`filter_core::simd::covered_256`]) and the OR maintenance is at
+//! most four `fetch_or`s, one per word the block does not already
+//! cover. Identical geometry at every level is what makes the OR
+//! well-defined.
 //!
 //! Maintenance is incremental: a key insert ORs its mask into the
 //! leaf and every ancestor on the root path (no rebuild); filter
@@ -342,12 +343,32 @@ impl BloofiIndex {
         ]
     }
 
+    /// OR `mask` into block `b` of node `id`, skipping every word that
+    /// already covers its part of the mask (on a busy index nearly all
+    /// of them: upper levels saturate, and leaves fill up). A skipped
+    /// word is as good as a `fetch_or` for every reader ordered after
+    /// this call:
+    ///
+    /// - Under a shared borrow a summary word only gains bits: the
+    ///   writers are `fetch_or` here and the all-ones stores of
+    ///   [`saturate_filter`](Self::saturate_filter). Stores that can
+    ///   clear bits (recompute, node reuse, bulk load) need `&mut
+    ///   self`, i.e. the exclusive lock, and a recompute rewrites a
+    ///   node as the OR of its children, which still covers the mask.
+    /// - So every value after the one this load saw, in the word's
+    ///   modification order, covers the mask too.
+    /// - Read-read coherence: a load that happens after this load
+    ///   reads that value or a later one.
+    ///
+    /// A reader ordered after the insert (its acknowledgement, any
+    /// `Release`/`Acquire` edge) therefore sees the mask's bits, just
+    /// as it would see the `fetch_or`'s.
     #[inline]
     fn or_block(&self, id: u32, b: usize, mask: &[u64; 4]) {
         let at = self.base(id) + b * 4;
-        for (j, &m) in mask.iter().enumerate() {
-            if m != 0 {
-                self.summaries[at + j].fetch_or(m, Ordering::Relaxed);
+        for (word, &m) in self.summaries[at..at + 4].iter().zip(mask) {
+            if word.load(Ordering::Relaxed) & m != m {
+                word.fetch_or(m, Ordering::Relaxed);
             }
         }
     }

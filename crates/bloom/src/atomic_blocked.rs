@@ -91,27 +91,41 @@ impl AtomicBlockedBloomFilter {
         self.hasher.seed()
     }
 
-    /// Insert `key` without exclusive access.
-    ///
-    /// Wait-free: at most `k` `fetch_or` operations (fewer when probes
-    /// share a word — the per-block mask is accumulated first and each
-    /// touched word is OR-ed exactly once).
+    /// Insert `key` without exclusive access: a one-key
+    /// [`insert_batch`](Self::insert_batch).
     pub fn insert(&self, key: u64) {
-        let (b, h1, h2) = locate_block(&self.hasher, self.n_blocks, key);
-        let mask = simd::block_mask_512(h1, h2, self.k);
-        let base = b * BLOCK_WORDS;
-        for (w, &m) in mask.iter().enumerate() {
-            if m != 0 {
-                self.bits.or_word(base + w, m);
-            }
-        }
-        self.items.fetch_add(1, Ordering::Relaxed);
+        self.insert_batch(std::slice::from_ref(&key));
     }
 
-    /// Insert every key in `keys`.
+    /// Insert every key in `keys` without exclusive access.
+    ///
+    /// Pipelined like the probe kernel: per [`PROBE_CHUNK`], locate
+    /// every key's block and prefetch both of its ends, then build
+    /// each mask and OR it in, so the chunk's misses overlap. Wait-free:
+    /// at most `k` `fetch_or` operations per key (fewer when probes
+    /// share a word — the per-block mask is accumulated first and each
+    /// touched word is OR-ed exactly once), plus one `items` update per
+    /// chunk. The bits set are exactly those of inserting key by key.
     pub fn insert_batch(&self, keys: &[u64]) {
-        for &k in keys {
-            self.insert(k);
+        let mut located = [(0usize, 0u64, 0u64); PROBE_CHUNK];
+        for chunk in keys.chunks(PROBE_CHUNK) {
+            for (l, &key) in located.iter_mut().zip(chunk) {
+                let (b, h1, h2) = locate_block(&self.hasher, self.n_blocks, key);
+                let base = b * BLOCK_WORDS;
+                self.bits.prefetch_word(base);
+                self.bits.prefetch_word(base + BLOCK_WORDS - 1);
+                *l = (b, h1, h2);
+            }
+            for &(b, h1, h2) in &located[..chunk.len()] {
+                let mask = simd::block_mask_512(h1, h2, self.k);
+                let base = b * BLOCK_WORDS;
+                for (w, &m) in mask.iter().enumerate() {
+                    if m != 0 {
+                        self.bits.or_word(base + w, m);
+                    }
+                }
+            }
+            self.items.fetch_add(chunk.len(), Ordering::Relaxed);
         }
     }
 

@@ -160,6 +160,10 @@ impl InsertFilter for RegisterBlockedBloomFilter {
         self.items += 1;
         Ok(())
     }
+
+    fn prefetch_insert(&self, key: u64) {
+        filter_core::prefetch_read(&self.blocks, self.locate(key).0);
+    }
 }
 
 impl BatchedFilter for RegisterBlockedBloomFilter {

@@ -227,6 +227,12 @@ impl InsertFilter for TwoChoiceRegisterBloomFilter {
         self.items += 1;
         Ok(())
     }
+
+    /// Both candidate blocks share one line: one prefetch covers the
+    /// placement decision and the OR.
+    fn prefetch_insert(&self, key: u64) {
+        filter_core::prefetch_read(&self.pairs, self.locate(key).0);
+    }
 }
 
 impl BatchedFilter for TwoChoiceRegisterBloomFilter {

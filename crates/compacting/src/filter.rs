@@ -265,12 +265,23 @@ impl CompactingFilter {
         }
     }
 
-    /// Insert `key`. Wait-free against lookups and background
-    /// compaction; may seal the front (an `O(tiers)` swap) when it
-    /// reaches capacity.
+    /// Insert `key`: a one-key [`insert_batch`](Self::insert_batch).
     pub fn insert(&self, key: u64) {
+        self.insert_batch(std::slice::from_ref(&key));
+    }
+
+    /// Insert every key in `keys`, in order. Wait-free against lookups
+    /// and background compaction; seals the front (an `O(tiers)` swap)
+    /// each time it reaches capacity.
+    ///
+    /// Takes one state snapshot and one front-log lock per front the
+    /// batch lands in, not per key. The batch is split where the
+    /// front fills, so fronts seal at exactly the key counts inserting
+    /// key by key would seal them at.
+    pub fn insert_batch(&self, keys: &[u64]) {
         let inner = &*self.inner;
-        loop {
+        let mut rest = keys;
+        while !rest.is_empty() {
             let front = Arc::clone(&inner.snapshot().front);
             let mut log = lock(&front.log);
             if log.sealed {
@@ -278,17 +289,22 @@ impl CompactingFilter {
                 // moved on; retry against the fresh snapshot.
                 continue;
             }
+            // No room left means another inserter filled this front
+            // and has not sealed it yet; a one-key insert would still
+            // land here, so take at least one key.
+            let room = inner.cfg.front_capacity.saturating_sub(log.keys.len());
+            let (now, later) = rest.split_at(room.clamp(1, rest.len()));
             // Bloom before log, both under the log lock: a concurrent
-            // reader sees the key as soon as we return, and a seal
+            // reader sees the keys as soon as we return, and a seal
             // (which takes this lock) can never split the pair.
-            front.bloom.insert(key);
-            log.keys.push(key);
+            front.bloom.insert_batch(now);
+            log.keys.extend_from_slice(now);
             let full = log.keys.len() >= inner.cfg.front_capacity;
             drop(log);
             if full {
                 inner.seal();
             }
-            return;
+            rest = later;
         }
     }
 
@@ -481,9 +497,7 @@ impl CompactingFilter {
             drop(guard);
             crate::TIERS.add(delta);
         }
-        for k in loose {
-            filter.insert(k);
-        }
+        filter.insert_batch(&loose);
         Ok(filter)
     }
 }

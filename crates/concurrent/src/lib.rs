@@ -49,7 +49,7 @@
 #![forbid(unsafe_code)]
 
 use filter_core::{
-    BatchedFilter, CountingFilter, DynamicFilter, Filter, Hasher, InsertFilter, Result,
+    BatchedFilter, CountingFilter, DynamicFilter, Filter, Hasher, InsertFilter, Result, PROBE_CHUNK,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -254,15 +254,52 @@ impl<F> Sharded<F> {
         guard
     }
 
-    /// Group `keys` by shard, preserving each key's original index.
-    /// One pass, one allocation per call; batch operations then lock
-    /// every non-empty shard exactly once.
-    fn group_by_shard(&self, keys: &[u64]) -> Vec<Vec<(usize, u64)>> {
-        let mut buckets: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.shards.len()];
-        for (i, &k) in keys.iter().enumerate() {
-            buckets[self.shard_of(k)].push((i, k));
+    /// Group `keys` by shard, each with its index in `keys`. A stable
+    /// counting sort into one buffer: every shard's keys keep their
+    /// input order, and a call makes three allocations however many
+    /// shards the keys hit. Batch operations then lock every non-empty
+    /// shard exactly once.
+    fn group_by_shard(&self, keys: &[u64]) -> ShardGroups {
+        let shard: Vec<usize> = keys.iter().map(|&k| self.shard_of(k)).collect();
+        // ends[s] counts shard s's keys, then holds its first slot,
+        // and after the scatter one past its last.
+        let mut ends = vec![0usize; self.shards.len()];
+        for &s in &shard {
+            ends[s] += 1;
         }
-        buckets
+        let mut start = 0;
+        for e in ends.iter_mut() {
+            let n = *e;
+            *e = start;
+            start += n;
+        }
+        let mut entries = vec![(0, 0); keys.len()];
+        for (i, (&k, &s)) in keys.iter().zip(&shard).enumerate() {
+            entries[ends[s]] = (i, k);
+            ends[s] += 1;
+        }
+        ShardGroups { entries, ends }
+    }
+}
+
+/// Keys grouped by shard ([`Sharded::group_by_shard`]).
+struct ShardGroups {
+    /// `(index in the input, key)`: shard 0's entries first, each
+    /// shard's in input order.
+    entries: Vec<(usize, u64)>,
+    /// `ends[s]`: one past shard `s`'s last entry.
+    ends: Vec<usize>,
+}
+
+impl ShardGroups {
+    /// `(shard, entries)` for every non-empty shard, in shard order.
+    fn iter(&self) -> impl Iterator<Item = (usize, &[(usize, u64)])> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .enumerate()
+            .filter(|&(_, (b, &e))| b < e)
+            .map(|(s, (b, &e))| (s, &self.entries[b..e]))
     }
 }
 
@@ -312,10 +349,7 @@ impl<F: BatchedFilter> Sharded<F> {
         // gathered order before being scattered to input positions.
         let mut gathered: Vec<u64> = Vec::new();
         let mut answers: Vec<bool> = Vec::new();
-        for (s, bucket) in self.group_by_shard(keys).into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
+        for (s, bucket) in self.group_by_shard(keys).iter() {
             gathered.clear();
             gathered.extend(bucket.iter().map(|&(_, k)| k));
             answers.clear();
@@ -337,17 +371,28 @@ impl<F: InsertFilter> Sharded<F> {
         self.with_shard(key, |f| f.insert(key))
     }
 
-    /// Batched insert; locks each shard once. On error, keys in
-    /// earlier buckets (and earlier keys of the failing bucket) remain
-    /// inserted — the same prefix semantics as a sequential loop.
+    /// Batched insert; locks each shard once. Under the lock, each
+    /// [`PROBE_CHUNK`] of the shard's keys is prefetched
+    /// ([`InsertFilter::prefetch_insert`]) and then inserted in input
+    /// order — the order two-choice placement and cuckoo kicks depend
+    /// on — so the result is bit-identical to calling
+    /// [`Sharded::insert`] per key.
+    ///
+    /// On error the inserted prefix is by shard bucket, not by input
+    /// order: buckets are visited in shard-index order, so every key
+    /// of a lower-indexed shard stays inserted (even one that follows
+    /// the failing key in `keys`), as do the failing bucket's keys
+    /// before it; keys of higher-indexed shards are not inserted.
     pub fn insert_batch(&self, keys: &[u64]) -> Result<()> {
-        for (s, bucket) in self.group_by_shard(keys).into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
+        for (s, bucket) in self.group_by_shard(keys).iter() {
             let mut shard = self.lock(s);
-            for (_, k) in bucket {
-                shard.insert(k)?;
+            for chunk in bucket.chunks(PROBE_CHUNK) {
+                for &(_, k) in chunk {
+                    shard.prefetch_insert(k);
+                }
+                for &(_, k) in chunk {
+                    shard.insert(k)?;
+                }
             }
         }
         Ok(())
@@ -367,12 +412,9 @@ impl<F: DynamicFilter> Sharded<F> {
     /// [`Sharded::insert_batch`]).
     pub fn remove_batch(&self, keys: &[u64]) -> Result<Vec<bool>> {
         let mut out = vec![false; keys.len()];
-        for (s, bucket) in self.group_by_shard(keys).into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
+        for (s, bucket) in self.group_by_shard(keys).iter() {
             let mut shard = self.lock(s);
-            for (i, k) in bucket {
+            for &(i, k) in bucket {
                 out[i] = shard.remove(k)?;
             }
         }
@@ -403,12 +445,9 @@ impl<F: CountingFilter> Sharded<F> {
     /// Locks each shard once instead of once per key.
     pub fn count_batch(&self, keys: &[u64]) -> Vec<u64> {
         let mut out = vec![0u64; keys.len()];
-        for (s, bucket) in self.group_by_shard(keys).into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
+        for (s, bucket) in self.group_by_shard(keys).iter() {
             let shard = self.lock(s);
-            for (i, k) in bucket {
+            for &(i, k) in bucket {
                 out[i] = shard.count(k);
             }
         }

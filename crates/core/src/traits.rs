@@ -98,6 +98,14 @@ pub trait Filter {
 pub trait InsertFilter: Filter {
     /// Insert `key`. Idempotent for plain membership filters.
     fn insert(&mut self, key: u64) -> Result<()>;
+
+    /// Hint the cache line(s) a later `insert(key)` will touch toward
+    /// L1. Batched insert paths call this for a group of keys before
+    /// inserting them in order, so the misses overlap (the write-side
+    /// half of the hash → prefetch → resolve pipeline in
+    /// [`crate::batch`]). A hint only: it changes no state, and the
+    /// default does nothing.
+    fn prefetch_insert(&self, _key: u64) {}
 }
 
 /// A fully dynamic filter: insertions and deletions (tutorial §2:

@@ -298,6 +298,16 @@ impl InsertFilter for CuckooFilter {
         // behaviour of declaring the filter full).
         Err(FilterError::EvictionLimit)
     }
+
+    /// Both candidate buckets, as [`BatchedFilter::contains_chunk`]
+    /// warms them: placement tries `i1` then `i2`. Kick chains walk
+    /// further and still miss.
+    fn prefetch_insert(&self, key: u64) {
+        let (fp, i1) = self.fp_and_bucket(key);
+        self.slots.prefetch_field(i1 * self.bucket_size);
+        self.slots
+            .prefetch_field(self.alt_bucket(i1, fp) * self.bucket_size);
+    }
 }
 
 impl DynamicFilter for CuckooFilter {

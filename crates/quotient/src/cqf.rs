@@ -457,6 +457,13 @@ impl InsertFilter for CountingQuotientFilter {
     fn insert(&mut self, key: u64) -> Result<()> {
         self.insert_count(key, 1)
     }
+
+    /// The home slot's metadata words and payload line, as the probe
+    /// kernel warms them. Shifts that run past the home word, and an
+    /// expansion between this hint and the insert, still miss.
+    fn prefetch_insert(&self, key: u64) {
+        self.table.prefetch_home(self.fingerprint(key).0);
+    }
 }
 
 impl CountingFilter for CountingQuotientFilter {

@@ -1080,9 +1080,7 @@ fn handle_insert(engine: &Engine, name: &str, keys: &[u64]) -> (Response, Option
             Err(e) => filter_err(e),
         },
         ServedFilter::Compacting(f) => {
-            for &k in keys {
-                f.insert(k);
-            }
+            f.insert_batch(keys);
             Response::Ok
         }
         ServedFilter::TwoChoice(t) => match t.insert_batch(keys) {

@@ -178,7 +178,7 @@ struct StoreInner {
 }
 
 /// The bounded global store of promoted traces. Holds at most
-/// [`MAX_TRACES`] traces (oldest dropped, counted in
+/// `MAX_TRACES` traces (oldest dropped, counted in
 /// `bb_traces_dropped_total`) plus a small pool of linked background
 /// spans whose trace has not been promoted yet.
 pub struct TraceStore {

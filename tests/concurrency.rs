@@ -221,6 +221,137 @@ fn batch_and_pointwise_agree_under_concurrency() {
 }
 
 #[test]
+fn multi_contains_never_misses_an_acknowledged_insert() {
+    // The Bloofi index must stay a superset of every filter's contents
+    // for any reader ordered after an INSERT's acknowledgement, also
+    // when the index skips ORs into words that already cover a key.
+    // Writers dispatch INSERT batches and publish the acknowledged
+    // count (Release); readers load it (Acquire) and ask
+    // MULTI_CONTAINS for published keys. Half the tenants start with
+    // 8k keys, which nearly fills their leaf summaries (most ORs are
+    // skipped), half start empty (most ORs land), and one is created
+    // from a blob, which saturates its leaf.
+    use beyond_bloom::service::engine::{dispatch, Engine};
+    use beyond_bloom::service::{build_atomic_bloom, Backend, Request, Response, ServerConfig};
+    use std::sync::atomic::AtomicUsize;
+
+    const BATCH: usize = 64;
+    const BATCHES: usize = 300;
+    const WRITERS: usize = 2;
+    const BACKENDS: [Backend; 6] = [
+        Backend::AtomicBloom,
+        Backend::ShardedCuckoo,
+        Backend::ShardedCqf,
+        Backend::RegisterBloom,
+        Backend::Compacting,
+        Backend::TwoChoiceBloom,
+    ];
+    let engine = Engine::new(ServerConfig::default());
+    let call = |req: Request| dispatch(&engine, &req.encode()).0;
+    let create = |name: &str, backend: Backend, blob: Vec<u8>| {
+        let resp = call(Request::Create {
+            name: name.to_string(),
+            backend,
+            capacity: 1 << 15,
+            eps: 0.01,
+            shard_bits: 2,
+            seed: 7,
+            blob,
+        });
+        assert_eq!(resp, Response::Ok, "CREATE {name}");
+    };
+    // tenants[w]: writer w's tenants, every backend once, big and small
+    // alternating; writer 0 also owns the blob-created tenant.
+    let mut tenants: Vec<Vec<String>> = vec![Vec::new(); WRITERS];
+    for (i, &backend) in BACKENDS.iter().cycle().take(2 * BACKENDS.len()).enumerate() {
+        let name = format!("t{i:02}");
+        create(&name, backend, Vec::new());
+        if i % 2 == 0 {
+            let keys = unique_keys(910 + i as u64, 8_192);
+            let resp = call(Request::Insert {
+                name: name.clone(),
+                keys,
+            });
+            assert_eq!(resp, Response::Ok, "preload {name}");
+        }
+        tenants[i / BACKENDS.len()].push(name);
+    }
+    let blob = build_atomic_bloom(1 << 15, 0.01, 7);
+    blob.insert_batch(&unique_keys(930, 1_000));
+    create("blob", Backend::AtomicBloom, blob.to_bytes());
+    tenants[0].push("blob".to_string());
+
+    let keys: Vec<Vec<u64>> = (0..WRITERS)
+        .map(|w| unique_keys(940 + w as u64, BATCHES * BATCH))
+        .collect();
+    let batch = |w: usize, i: usize| &keys[w][i * BATCH..(i + 1) * BATCH];
+    let owner = |w: usize, i: usize| &tenants[w][i % tenants[w].len()];
+    let acked: Vec<AtomicUsize> = (0..WRITERS).map(|_| AtomicUsize::new(0)).collect();
+    // Writers that have returned or panicked; readers stop at WRITERS,
+    // so a failing writer fails the test instead of hanging it.
+    let finished = AtomicUsize::new(0);
+    struct Finish<'a>(&'a AtomicUsize);
+    impl Drop for Finish<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Release);
+        }
+    }
+    let assert_listed = |w: usize, i: usize| {
+        let lists = engine.multi_contains(batch(w, i));
+        for (&k, names) in batch(w, i).iter().zip(&lists) {
+            assert!(
+                names.contains(owner(w, i)),
+                "MULTI_CONTAINS missed acknowledged key {k:#x} of {}",
+                owner(w, i)
+            );
+        }
+    };
+    std::thread::scope(|s| {
+        for w in 0..WRITERS {
+            let (call, acked, finished) = (&call, &acked, &finished);
+            s.spawn(move || {
+                let _finish = Finish(finished);
+                for i in 0..BATCHES {
+                    let resp = call(Request::Insert {
+                        name: owner(w, i).clone(),
+                        keys: batch(w, i).to_vec(),
+                    });
+                    assert_eq!(resp, Response::Ok);
+                    acked[w].store(i + 1, Ordering::Release);
+                }
+            });
+        }
+        for r in 0..READERS {
+            let (acked, finished, assert_listed) = (&acked, &finished, &assert_listed);
+            s.spawn(move || {
+                let mut probe = r;
+                loop {
+                    let stop = finished.load(Ordering::Acquire) == WRITERS;
+                    for (w, a) in acked.iter().enumerate() {
+                        let n = a.load(Ordering::Acquire);
+                        if n > 0 {
+                            // The batch acknowledged last, while its
+                            // writer moves on, and an older one.
+                            assert_listed(w, n - 1);
+                            assert_listed(w, probe % n);
+                        }
+                    }
+                    if stop {
+                        break;
+                    }
+                    probe = probe.wrapping_mul(31).wrapping_add(7);
+                }
+            });
+        }
+    });
+    for w in 0..WRITERS {
+        for i in 0..BATCHES {
+            assert_listed(w, i);
+        }
+    }
+}
+
+#[test]
 fn poisoned_shard_recovery_emits_telemetry() {
     // Satellite: a thread that panics while holding a shard lock
     // poisons the mutex; the recovery path must both hand out the

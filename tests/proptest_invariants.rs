@@ -481,6 +481,110 @@ proptest! {
         batched_matches_pointwise("sharded-bloom", &sharded, &mixed);
     }
 
+    /// Batched inserts leave every served backend exactly as pointwise
+    /// inserts of the same keys in the same order would: one seed per
+    /// `build_*` constructor, batches of every chunk-boundary size.
+    /// The shards are small, so keys share cuckoo buckets and
+    /// two-choice pairs, where the order a shard sees its keys decides
+    /// slot order and placement.
+    #[test]
+    fn batched_inserts_match_pointwise(
+        keys in prop::collection::btree_set(any::<u64>(), 0..300),
+        probes in prop::collection::vec(any::<u64>(), 0..200),
+        n_idx in 0usize..BATCH_SIZES.len(),
+    ) {
+        use beyond_bloom::service::{
+            build_atomic_bloom, build_compacting, build_sharded_cqf, build_sharded_cuckoo,
+            build_sharded_register_bloom, build_sharded_two_choice, ServedFilter,
+        };
+        const CAP: u64 = 512;
+        const EPS: f64 = 0.01;
+        const SHARD_BITS: u32 = 2;
+        const SEED: u64 = 0x1b5e;
+        let n = BATCH_SIZES[n_idx];
+        let keys: Vec<u64> = keys.into_iter().collect();
+        let batches = split_batches(&keys, n);
+
+        // The five deterministic backends snapshot to the same bytes.
+        same_snapshot_after_inserts(
+            "atomic-bloom",
+            || build_atomic_bloom(CAP, EPS, SEED),
+            |f, k| f.insert(k),
+            |f, b| f.insert_batch(b),
+            |f| ServedFilter::Bloom(f).snapshot_bytes(),
+            &batches,
+        );
+        same_snapshot_after_inserts(
+            "sharded-cuckoo",
+            || build_sharded_cuckoo(CAP, EPS, SHARD_BITS, SEED),
+            |f, k| f.insert(k).unwrap(),
+            |f, b| f.insert_batch(b).unwrap(),
+            |f| ServedFilter::Cuckoo(f).snapshot_bytes(),
+            &batches,
+        );
+        same_snapshot_after_inserts(
+            "sharded-cqf",
+            || build_sharded_cqf(CAP, EPS, SHARD_BITS, SEED),
+            |f, k| f.insert(k).unwrap(),
+            |f, b| f.insert_batch(b).unwrap(),
+            |f| ServedFilter::Cqf(f).snapshot_bytes(),
+            &batches,
+        );
+        same_snapshot_after_inserts(
+            "register-bloom",
+            || build_sharded_register_bloom(CAP, EPS, SHARD_BITS, SEED),
+            |f, k| f.insert(k).unwrap(),
+            |f, b| f.insert_batch(b).unwrap(),
+            |f| ServedFilter::RegisterBloom(f).snapshot_bytes(),
+            &batches,
+        );
+        same_snapshot_after_inserts(
+            "two-choice-bloom",
+            || build_sharded_two_choice(CAP, EPS, SHARD_BITS, SEED),
+            |f, k| f.insert(k).unwrap(),
+            |f, b| f.insert_batch(b).unwrap(),
+            |f| ServedFilter::TwoChoice(f).snapshot_bytes(),
+            &batches,
+        );
+
+        // Compacting: a key stream past two fronts (1024 keys each at
+        // this capacity), so batches straddle `front_capacity`.
+        let stream: Vec<u64> = keys
+            .iter()
+            .copied()
+            .chain(beyond_bloom::workloads::unique_keys(0xc0a1, 2_200))
+            .collect();
+        let point = build_compacting(CAP, EPS, SEED);
+        let batched = build_compacting(CAP, EPS, SEED);
+        for &k in &stream {
+            point.insert(k);
+        }
+        for b in split_batches(&stream, n) {
+            batched.insert_batch(b);
+        }
+        // Fronts seal inline, so equal seal counts and equal keys left
+        // in the live front mean the batched path sealed at the same
+        // key counts.
+        let (ps, bs) = (point.stats(), batched.stats());
+        prop_assert_eq!((ps.seals, ps.front_keys), (bs.seals, bs.front_keys));
+        point.compact_all();
+        batched.compact_all();
+        prop_assert_eq!(point.len(), batched.len());
+        for &k in &stream {
+            prop_assert!(point.contains(k) && batched.contains(k), "compacting lost {:#x}", k);
+        }
+        // Tier seeds follow an epoch that background compactions also
+        // advance, at run-dependent times. When both filters went
+        // through the same number of seals and compactions, their one
+        // tier holds the same keys under the same seed, so even the
+        // false positives must agree.
+        if point.stats() == batched.stats() {
+            for &p in &probes {
+                prop_assert_eq!(point.contains(p), batched.contains(p), "probe {:#x}", p);
+            }
+        }
+    }
+
     /// The dyadic-hierarchy range filters agree with ground truth on
     /// non-empty ranges under arbitrary key sets.
     #[test]
@@ -509,6 +613,39 @@ proptest! {
 /// Batch sizes straddling the probe-chunk boundary (`PROBE_CHUNK` is
 /// 32): empty, singleton, one-under, exact, one-over, two chunks + 1.
 const BATCH_SIZES: [usize; 6] = [0, 1, 31, 32, 33, 65];
+
+/// `keys` cut into batches of `n`; `n == 0` stands for an empty batch
+/// followed by all of `keys` in one.
+fn split_batches(keys: &[u64], n: usize) -> Vec<&[u64]> {
+    if n == 0 {
+        vec![&[], keys]
+    } else {
+        keys.chunks(n).collect()
+    }
+}
+
+/// Build two instances, insert `batches` into one key by key and into
+/// the other batch by batch, and check they serialize identically.
+fn same_snapshot_after_inserts<F>(
+    label: &str,
+    build: impl Fn() -> F,
+    insert: impl Fn(&F, u64),
+    insert_batch: impl Fn(&F, &[u64]),
+    snapshot: impl Fn(F) -> Vec<u8>,
+    batches: &[&[u64]],
+) {
+    let (point, batched) = (build(), build());
+    for &k in batches.iter().copied().flatten() {
+        insert(&point, k);
+    }
+    for &b in batches {
+        insert_batch(&batched, b);
+    }
+    assert!(
+        snapshot(point) == snapshot(batched),
+        "{label}: batched inserts left a different filter than pointwise inserts"
+    );
+}
 
 /// Fuse construction succeeds within the seed budget at every awkward
 /// size: degenerate (0/1/2) and the power-of-two ± 1 neighbourhood
