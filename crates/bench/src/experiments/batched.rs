@@ -13,6 +13,10 @@
 //! constructors, pointwise `insert` against `insert_batch` in batches
 //! of 64 keys, on the DRAM-resident size.
 //!
+//! Both tables use E22's paired protocol (`paired_rounds`), and
+//! every ratio is the median of per-round ratios, so host drift
+//! between passes cancels instead of landing on one side.
+//!
 //! Env knobs (for the CI perf-smoke job):
 //! - `E20_QUICK=1` shrinks sizes and repetitions to finish in seconds.
 //! - `E20_ASSERT=1` prints a `gate: PASS`/`gate: FAIL` line asserting
@@ -41,22 +45,49 @@ const INSERT_BATCH: usize = 64;
 /// backend, so an insert's line is a miss the batched path can overlap.
 const INSERT_CAPACITY: usize = 1 << 22;
 
-/// Paired rounds per backend in the insert table (odd: the median
-/// ratio is one round's).
-const INSERT_ROUNDS: usize = 5;
+/// Paired rounds per table row (odd: a median is one round's).
+const ROUNDS: usize = 5;
 
 struct FamilyResult {
     name: &'static str,
     scalar_mops: f64,
     width_mops: [f64; 4],
+    /// Median per-round best-width / scalar ratio.
+    ratio: f64,
 }
 
 fn mops(ops: usize, t: std::time::Duration) -> f64 {
     ops as f64 / t.as_secs_f64() / 1e6
 }
 
-/// Time scalar and batched probes over `probes`, repeated until at
-/// least `target_ops` lookups have been issued per configuration.
+/// E22's paired protocol: [`ROUNDS`] rounds, each timing one pass of
+/// every mode, in reverse order on odd rounds, so host drift between
+/// passes cancels in per-round ratios. `pass(mode)` runs one timed
+/// pass and returns its Mops; the result holds one row of Mops per
+/// round, indexed by mode.
+fn paired_rounds<const M: usize>(mut pass: impl FnMut(usize) -> f64) -> Vec<[f64; M]> {
+    (0..ROUNDS)
+        .map(|r| {
+            let mut row = [0.0; M];
+            for i in 0..M {
+                let mode = if r % 2 == 0 { i } else { M - 1 - i };
+                row[mode] = pass(mode);
+            }
+            row
+        })
+        .collect()
+}
+
+/// Median over the rounds of `of(row)`.
+fn median<const M: usize>(rounds: &[[f64; M]], of: impl Fn(&[f64; M]) -> f64) -> f64 {
+    let mut v: Vec<f64> = rounds.iter().map(of).collect();
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Time scalar and batched probes over `probes`, each pass repeated
+/// until at least `target_ops` lookups have been issued. Mode 0 is
+/// the scalar loop, mode `1 + i` batch width `WIDTHS[i]`.
 fn bench_family<F: BatchedFilter>(
     name: &'static str,
     f: &F,
@@ -64,52 +95,53 @@ fn bench_family<F: BatchedFilter>(
     target_ops: usize,
 ) -> FamilyResult {
     let reps = (target_ops / probes.len()).max(1);
-    let t0 = Instant::now();
-    let mut hits = 0usize;
-    for _ in 0..reps {
-        for &k in probes {
-            hits += f.contains(k) as usize;
-        }
-    }
-    let scalar_mops = mops(reps * probes.len(), t0.elapsed());
-    std::hint::black_box(hits);
-
-    let mut width_mops = [0f64; 4];
     let mut out = vec![false; probes.len()];
-    for (wi, &w) in WIDTHS.iter().enumerate() {
+    let rounds = paired_rounds::<5>(|mode| {
         let t0 = Instant::now();
-        for _ in 0..reps {
-            for (kc, oc) in probes.chunks(w).zip(out.chunks_mut(w)) {
-                f.contains_many(kc, oc);
+        if mode == 0 {
+            let mut hits = 0usize;
+            for _ in 0..reps {
+                for &k in probes {
+                    hits += f.contains(k) as usize;
+                }
             }
+            std::hint::black_box(hits);
+        } else {
+            let w = WIDTHS[mode - 1];
+            for _ in 0..reps {
+                for (kc, oc) in probes.chunks(w).zip(out.chunks_mut(w)) {
+                    f.contains_many(kc, oc);
+                }
+            }
+            std::hint::black_box(&out);
         }
-        width_mops[wi] = mops(reps * probes.len(), t0.elapsed());
-        std::hint::black_box(&out);
-    }
+        mops(reps * probes.len(), t0.elapsed())
+    });
     FamilyResult {
         name,
-        scalar_mops,
-        width_mops,
+        scalar_mops: median(&rounds, |r| r[0]),
+        width_mops: std::array::from_fn(|i| median(&rounds, |r| r[i + 1])),
+        ratio: median(&rounds, |r| {
+            r[1..].iter().cloned().fold(0.0, f64::max) / r[0]
+        }),
     }
 }
 
-/// Time inserting `keys` into fresh filters key by key and in batches
-/// of [`INSERT_BATCH`], with E22's paired protocol: [`INSERT_ROUNDS`]
-/// rounds of one pass per mode, alternating which goes first, so host
-/// drift between rounds cancels. Building and dropping (which joins a
-/// compacting filter's worker) are untimed. Returns the median
-/// pointwise Mops, the median batched Mops and the median per-round
-/// batched/pointwise ratio.
+/// Time inserting `keys` into fresh filters key by key (mode 0) and
+/// in batches of [`INSERT_BATCH`] (mode 1) with [`paired_rounds`].
+/// Building and dropping (which joins a compacting filter's worker)
+/// are untimed. Returns the median pointwise Mops, the median batched
+/// Mops and the median per-round batched/pointwise ratio.
 fn bench_insert<F>(
     build: impl Fn() -> F,
     insert: impl Fn(&F, u64),
     insert_batch: impl Fn(&F, &[u64]),
     keys: &[u64],
 ) -> (f64, f64, f64) {
-    let pass = |batched: bool| {
+    let rounds = paired_rounds::<2>(|mode| {
         let f = build();
         let t0 = Instant::now();
-        if batched {
+        if mode == 1 {
             keys.chunks(INSERT_BATCH).for_each(|b| insert_batch(&f, b));
         } else {
             keys.iter().for_each(|&k| insert(&f, k));
@@ -117,24 +149,12 @@ fn bench_insert<F>(
         let m = mops(keys.len(), t0.elapsed());
         drop(f);
         m
-    };
-    let rounds: Vec<(f64, f64)> = (0..INSERT_ROUNDS)
-        .map(|r| {
-            if r % 2 == 0 {
-                let p = pass(false);
-                (p, pass(true))
-            } else {
-                let b = pass(true);
-                (pass(false), b)
-            }
-        })
-        .collect();
-    let median = |of: &dyn Fn(&(f64, f64)) -> f64| {
-        let mut v: Vec<f64> = rounds.iter().map(of).collect();
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    (median(&|r| r.0), median(&|r| r.1), median(&|r| r.1 / r.0))
+    });
+    (
+        median(&rounds, |r| r[0]),
+        median(&rounds, |r| r[1]),
+        median(&rounds, |r| r[1] / r[0]),
+    )
 }
 
 /// The insert table: pointwise vs batch-64 inserts of `n` keys into
@@ -205,7 +225,7 @@ fn insert_table(n: usize) -> bool {
     ];
     println!(
         "\ninserts, served backends at capacity {INSERT_CAPACITY}, {n} keys per pass, \
-         batch {INSERT_BATCH}, median of {INSERT_ROUNDS} paired rounds, Mops:"
+         batch {INSERT_BATCH}, median of {ROUNDS} paired rounds, Mops:"
     );
     println!(
         "{:<18} {:>9} {:>9} {:>16}",
@@ -295,7 +315,8 @@ pub fn e20_batched() -> bool {
         }
 
         println!(
-            "\n{size_label}-resident, n = {n} keys, {} probes (50% hits), Mops:",
+            "\n{size_label}-resident, n = {n} keys, {} probes (50% hits), \
+             median of {ROUNDS} paired rounds, Mops:",
             probes.len()
         );
         println!(
@@ -303,7 +324,6 @@ pub fn e20_batched() -> bool {
             "family", "scalar", "w=1", "w=8", "w=32", "w=256", "best/scalar"
         );
         for r in &results {
-            let ratio = r.width_mops.iter().cloned().fold(0.0, f64::max) / r.scalar_mops;
             println!(
                 "{:<16} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>11.2}x",
                 r.name,
@@ -312,9 +332,9 @@ pub fn e20_batched() -> bool {
                 r.width_mops[1],
                 r.width_mops[2],
                 r.width_mops[3],
-                ratio
+                r.ratio
             );
-            if ratio < 0.9 {
+            if r.ratio < 0.9 {
                 all_pass = false;
             }
         }

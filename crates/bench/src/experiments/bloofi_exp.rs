@@ -1,19 +1,18 @@
-//! E26: Bloofi hierarchical filter index — O(log N) multi-tenant
-//! lookup vs the flat registry scan.
+//! E26: Bloofi filter index — multi-tenant lookup vs the flat
+//! registry scan.
 //!
 //! A multi-tenant filter server answering "which filters contain this
 //! key?" (MULTI_CONTAINS) can either probe all N registered filters
-//! per key, or descend the Bloofi tree: a B-tree of OR-ed 256-bit
-//! register-Bloom summaries whose interior nodes reject whole
-//! subtrees with one SIMD block compare. This experiment registers N
-//! small tenant filters through the real [`service`] engine (tracked
-//! leaves, exactly as wire CREATE + INSERT maintain them), then
-//! measures `Engine::multi_contains` (tree) against
-//! `Engine::multi_contains_flat` (scan) across a selectivity sweep:
-//! keys present in no filter, exactly one filter, and a 16-tenant
-//! hot set. The paper-facing gate: at the largest N the tree answers
-//! absent and single-tenant keys at least 20x faster per key than
-//! the flat scan.
+//! per key, or scan the Flat-Bloofi matrix: 256-bit register-Bloom
+//! summaries stored bit-sliced, so one word AND tests 64 tenants.
+//! This experiment registers N small tenant filters through the real
+//! [`service`] engine (tracked columns, exactly as wire CREATE +
+//! INSERT maintain them), then measures `Engine::multi_contains`
+//! (index) against `Engine::multi_contains_flat` (scan) across a
+//! selectivity sweep: keys present in no filter, exactly one filter,
+//! and a 16-tenant hot set. The paper-facing gate: at the largest N
+//! the index answers absent and single-tenant keys at least 20x
+//! faster per key than the flat scan.
 //!
 //! Env knobs (for the CI perf-smoke job):
 //! - `E26_QUICK=1` shrinks tenant counts to finish in seconds.
@@ -53,22 +52,20 @@ fn tenant_key(i: usize, j: usize) -> u64 {
     ((i as u64) << 32) | j as u64
 }
 
-/// E26: Bloofi tree vs flat scan across tenant counts.
+/// E26: Bloofi index vs flat scan across tenant counts.
 pub fn e26_bloofi() -> bool {
     header(
-        "E26 — Bloofi index (O(log N) MULTI_CONTAINS vs flat scan)",
-        "a B-tree of OR-ed register-Bloom summaries answers \
-         which-filters-contain-key in O(log N) filter probes, >=20x \
-         faster per key than scanning every registered filter",
+        "E26 — Bloofi index (bit-sliced MULTI_CONTAINS vs flat scan)",
+        "bit-sliced register-Bloom summaries answer \
+         which-filters-contain-key with one word AND per 64 tenants, \
+         >=20x faster per key than scanning every registered filter",
     );
     let quick = std::env::var_os("E26_QUICK").is_some();
     let assert_gate = std::env::var_os("E26_ASSERT").is_some();
-    let cfg = bloofi::BloofiConfig::default();
     println!(
-        "engine index geometry: fanout {}, {} blocks/node ({} bytes)",
-        cfg.fanout,
-        cfg.node_blocks,
-        cfg.node_blocks * 32
+        "engine index geometry: {} blocks/summary ({} bytes per tenant)",
+        bloofi::BLOCKS,
+        bloofi::BLOCKS * 32
     );
 
     let tenant_counts: &[usize] = if quick {
@@ -101,11 +98,9 @@ pub fn e26_bloofi() -> bool {
                 &keys
             ));
         }
-        let depth = bloofi::INDEX_DEPTH.get();
-        let nodes = bloofi::INDEX_NODES.get();
-        let index_mib = nodes as f64 * (cfg.node_blocks * 32) as f64 / (1 << 20) as f64;
+        let index_mib = engine.index_size_in_bytes() as f64 / (1 << 20) as f64;
 
-        // Selectivity sweep: keys in no filter (pure descent
+        // Selectivity sweep: keys in no filter (pure index
         // rejection), exactly one filter, and the 16-tenant hot set.
         let absent: Vec<u64> = (0..n_probes).map(|j| (1u64 << 60) | j as u64).collect();
         let one: Vec<u64> = (0..n_probes)
@@ -115,29 +110,28 @@ pub fn e26_bloofi() -> bool {
 
         // Spot-check semantics before trusting the timings: a
         // single-tenant key names its tenant, a hot key names all
-        // sharers, and the tree never exceeds the flat answer.
+        // sharers, and the index never exceeds the flat answer.
         let lists = engine.multi_contains(&one[..8]);
         for (j, names) in lists.iter().enumerate() {
             let tenant = format!("tenant-{:06}", j * 31 % n);
             assert!(names.contains(&tenant), "false negative on {tenant}");
         }
         assert_eq!(engine.multi_contains(&many[..1])[0].len(), SHARED_FANIN);
-        for (tree, flat) in engine
+        for (indexed, flat) in engine
             .multi_contains(&absent[..8])
             .iter()
             .zip(engine.multi_contains_flat(&absent[..8]))
         {
-            assert!(tree.iter().all(|t| flat.contains(t)));
+            assert!(indexed.iter().all(|t| flat.contains(t)));
         }
 
         println!(
-            "\nN = {n} tenants, {KEYS_PER_FILTER} keys each: depth {depth}, \
-             {nodes} nodes, index {index_mib:.1} MiB; per-key latency over \
-             {n_probes} probes:"
+            "\nN = {n} tenants, {KEYS_PER_FILTER} keys each: index \
+             {index_mib:.1} MiB; per-key latency over {n_probes} probes:"
         );
         println!(
             "{:<10} {:>14} {:>14} {:>9}",
-            "probe set", "tree ns/key", "flat ns/key", "speedup"
+            "probe set", "index ns/key", "flat ns/key", "speedup"
         );
         // The flat scan is O(N) per key, so cap its probe count at
         // the larger tenant counts — per-key cost is what the ratio
@@ -147,7 +141,7 @@ pub fn e26_bloofi() -> bool {
         let mut top_gate_ratio = f64::INFINITY;
         for (label, probes) in [("absent", &absent), ("one", &one), ("many", &many)] {
             let mut sink = 0usize;
-            let tree_ns = best_ns_per_key(
+            let index_ns = best_ns_per_key(
                 || sink += std::hint::black_box(engine.multi_contains(probes)).len(),
                 3,
                 probes.len(),
@@ -161,8 +155,8 @@ pub fn e26_bloofi() -> bool {
                 flat_probes,
             );
             std::hint::black_box(sink);
-            let ratio = flat_ns / tree_ns;
-            println!("{label:<10} {tree_ns:>14.0} {flat_ns:>14.0} {ratio:>8.1}x");
+            let ratio = flat_ns / index_ns;
+            println!("{label:<10} {index_ns:>14.0} {flat_ns:>14.0} {ratio:>8.1}x");
             if label != "many" {
                 top_gate_ratio = top_gate_ratio.min(ratio);
             }
@@ -170,16 +164,16 @@ pub fn e26_bloofi() -> bool {
                 json_sets.push(',');
             }
             json_sets.push_str(&format!(
-                "{{\"set\":\"{label}\",\"tree_ns_per_key\":{tree_ns:.1},\
+                "{{\"set\":\"{label}\",\"index_ns_per_key\":{index_ns:.1},\
                  \"flat_ns_per_key\":{flat_ns:.1},\"ratio\":{ratio:.2}}}"
             ));
         }
         // Gate on the largest tenant count: absent and single-tenant
-        // probes (the multi-tenant routing cases the tree exists for)
+        // probes (the multi-tenant routing cases the index exists for)
         // must each clear 20x. The hot set is reported, not gated —
-        // its cost is dominated by the 16 mandatory leaf confirms.
+        // its cost is dominated by the 16 mandatory filter confirms.
         if n == *tenant_counts.last().unwrap() && top_gate_ratio < 20.0 {
-            println!("  !! tree below 20x flat scan at N = {n}");
+            println!("  !! index below 20x flat scan at N = {n}");
             gate_pass = false;
         }
 
@@ -187,17 +181,16 @@ pub fn e26_bloofi() -> bool {
             json_sizes.push(',');
         }
         json_sizes.push_str(&format!(
-            "{{\"n_filters\":{n},\"depth\":{depth},\"nodes\":{nodes},\
-             \"index_mib\":{index_mib:.2},\"sets\":[{json_sets}]}}"
+            "{{\"n_filters\":{n},\"index_mib\":{index_mib:.2},\"sets\":[{json_sets}]}}"
         ));
     }
 
     let json = format!(
-        "{{\"experiment\":\"e26\",\"quick\":{quick},\"fanout\":{},\
-         \"node_blocks\":{},\"keys_per_filter\":{KEYS_PER_FILTER},\
+        "{{\"experiment\":\"e26\",\"quick\":{quick},\"blocks\":{},\
+         \"keys_per_filter\":{KEYS_PER_FILTER},\
          \"shared_fanin\":{SHARED_FANIN},\"sizes\":[{json_sizes}],\
          \"gate_pass\":{gate_pass}}}\n",
-        cfg.fanout, cfg.node_blocks
+        bloofi::BLOCKS
     );
     match std::fs::write("BENCH_E26.json", &json) {
         Ok(()) => println!("\nwrote BENCH_E26.json"),
@@ -206,7 +199,7 @@ pub fn e26_bloofi() -> bool {
 
     if assert_gate {
         println!(
-            "\ne26 gate (tree >= 20x flat scan per key on absent and \
+            "\ne26 gate (index >= 20x flat scan per key on absent and \
              single-tenant probes at the largest N): {}",
             if gate_pass { "PASS" } else { "FAIL" }
         );

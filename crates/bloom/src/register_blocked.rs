@@ -121,8 +121,11 @@ impl RegisterBlockedBloomFilter {
         let seed = r.take_u64()?;
         let items = r.take_u64()? as usize;
         let n_words = r.take_u64()? as usize;
-        if n_words != n_blocks * BLOCK_WORDS {
+        if n_blocks.checked_mul(BLOCK_WORDS) != Some(n_words) {
             return Err(SerialError::Corrupt("register-bloom word count"));
+        }
+        if r.remaining() / 8 < n_words {
+            return Err(SerialError::Truncated);
         }
         let mut blocks = vec![[0u64; BLOCK_WORDS]; n_blocks];
         for block in blocks.iter_mut() {
@@ -157,7 +160,8 @@ impl InsertFilter for RegisterBlockedBloomFilter {
     fn insert(&mut self, key: u64) -> Result<()> {
         let (b, h) = self.locate(key);
         simd::or_into_256(&mut self.blocks[b], &simd::block_mask_256(h));
-        self.items += 1;
+        // Saturating: `items` may come from an untrusted snapshot.
+        self.items = self.items.saturating_add(1);
         Ok(())
     }
 

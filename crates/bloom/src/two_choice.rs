@@ -174,8 +174,11 @@ impl TwoChoiceRegisterBloomFilter {
         let seed = r.take_u64()?;
         let items = r.take_u64()? as usize;
         let n_words = r.take_u64()? as usize;
-        if n_words != n_blocks * BLOCK_WORDS {
+        if n_blocks.checked_mul(BLOCK_WORDS) != Some(n_words) {
             return Err(SerialError::Corrupt("two-choice-bloom word count"));
+        }
+        if r.remaining() / 8 < n_words {
+            return Err(SerialError::Truncated);
         }
         let mut pairs = vec![BlockPair([[0u64; BLOCK_WORDS]; 2]); n_blocks / 2];
         for pair in pairs.iter_mut() {
@@ -224,7 +227,8 @@ impl InsertFilter for TwoChoiceRegisterBloomFilter {
         let target =
             usize::from(Self::load_after(&pair[1], &mask) < Self::load_after(&pair[0], &mask));
         simd::or_into_256(&mut pair[target], &mask);
-        self.items += 1;
+        // Saturating: `items` may come from an untrusted snapshot.
+        self.items = self.items.saturating_add(1);
         Ok(())
     }
 

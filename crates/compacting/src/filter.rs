@@ -53,6 +53,22 @@ use xorf::{BinaryFuseFilter, FuseArity};
 /// Snapshot-serialization magic.
 const MAGIC: u32 = 0xc0ab_ac71;
 
+/// Largest `front_capacity` a snapshot may carry: the front a
+/// service CREATE builds at its default `max_capacity` (2²⁸ / 16).
+/// A front preallocates its key log and sizes its Bloom from this
+/// field, so an unbounded value lets a forged blob exhaust memory.
+pub const MAX_FRONT_CAPACITY: usize = 1 << 24;
+
+/// Smallest FPR target a snapshot may carry. Filter size grows with
+/// `log(1/eps)`, so without a floor a forged `eps` near zero asks for
+/// thousands of bits per key.
+pub const MIN_EPS: f64 = 1e-9;
+
+/// Is `eps` a usable FPR target, in `[MIN_EPS, 0.5]`?
+fn eps_in_range(eps: f64) -> bool {
+    (MIN_EPS..=0.5).contains(&eps)
+}
+
 /// Configuration for a [`CompactingFilter`].
 #[derive(Debug, Clone, Copy)]
 pub struct CompactingConfig {
@@ -99,8 +115,20 @@ impl CompactingConfig {
         if self.front_capacity == 0 || self.max_tiers == 0 {
             return Err(SerialError::Corrupt("compacting config zero"));
         }
-        if !(self.eps > 0.0 && self.eps <= 0.5) {
+        if self.front_capacity > MAX_FRONT_CAPACITY {
+            return Err(SerialError::Corrupt("compacting front capacity"));
+        }
+        if !eps_in_range(self.eps) {
             return Err(SerialError::Corrupt("compacting eps"));
+        }
+        // `eps_for_run` clamps with these; a bad pair would panic the
+        // compaction thread.
+        let allocation_ok = match self.allocation {
+            FprAllocation::Uniform(e) => eps_in_range(e),
+            FprAllocation::Monkey { base_eps, ratio } => eps_in_range(base_eps) && ratio >= 1.0,
+        };
+        if !allocation_ok {
+            return Err(SerialError::Corrupt("compacting allocation"));
         }
         Ok(())
     }
@@ -460,8 +488,10 @@ impl CompactingFilter {
             seed,
         };
         cfg.validate()?;
-        let n_tiers = r.take_u32()? as usize;
-        let mut tiers = Vec::with_capacity(n_tiers);
+        // No preallocation: the count is untrusted, and every tier
+        // must still be read from the blob.
+        let n_tiers = r.take_u32()?;
+        let mut tiers = Vec::new();
         for _ in 0..n_tiers {
             let keys = r.take_u64_vec()?;
             if keys.windows(2).any(|w| w[0] >= w[1]) {

@@ -27,7 +27,9 @@ mod filter;
 
 use telemetry::{StaticCounter, StaticGauge, StaticHistogram};
 
-pub use filter::{CompactingConfig, CompactingFilter, CompactingStats};
+pub use filter::{
+    CompactingConfig, CompactingFilter, CompactingStats, MAX_FRONT_CAPACITY, MIN_EPS,
+};
 
 /// Fronts sealed (each seal hands one immutable memtable to the
 /// compactor; also an [`telemetry::EventKind::TierSealed`] event).

@@ -185,7 +185,7 @@ impl PackedArray {
             return Err(SerialError::Corrupt("packed width"));
         }
         let bits = BitVec::deserialize(r)?;
-        if bits.len() != len * width as usize {
+        if len.checked_mul(width as usize) != Some(bits.len()) {
             return Err(SerialError::Corrupt("packed bit count"));
         }
         Ok(PackedArray::from_parts(bits, width, len))

@@ -151,7 +151,7 @@ impl CuckooFilter {
         let items = r.take_u64()? as usize;
         let kicks_performed = r.take_u64()?;
         let slots = filter_core::PackedArray::deserialize(&mut r)?;
-        if slots.len() != n_buckets * bucket_size || slots.width() != fp_bits {
+        if n_buckets.checked_mul(bucket_size) != Some(slots.len()) || slots.width() != fp_bits {
             return Err(SerialError::Corrupt("cuckoo slot table"));
         }
         if items > slots.len() {

@@ -29,6 +29,11 @@ use filter_core::{
     InsertFilter, Result, PROBE_CHUNK,
 };
 
+/// Largest quotient width a snapshot may carry: the 2²⁹ home slots
+/// the service builds for 2²⁸ keys, its default `max_capacity`.
+/// Without a bound a forged header asks for up to 2⁵⁶ slots.
+pub const MAX_SNAPSHOT_Q: u32 = 29;
+
 /// Decode a run's payload slots into `(remainder, count)` pairs.
 ///
 /// Panics on a malformed escape sequence; runs produced by
@@ -274,7 +279,10 @@ impl CountingQuotientFilter {
         }
         let q = r.take_u32()?;
         let rem_bits = r.take_u32()?;
-        if !(1..=56).contains(&q) || !(2..=64).contains(&rem_bits) || q + rem_bits > 64 {
+        // The table's 2^q slots are allocated before any run is read,
+        // so `q` is bounded by a constant, not by the blob's length.
+        if !(1..=MAX_SNAPSHOT_Q).contains(&q) || !(2..=64).contains(&rem_bits) || q + rem_bits > 64
+        {
             return Err(SerialError::Corrupt("cqf geometry"));
         }
         let seed = r.take_u64()?;

@@ -18,7 +18,7 @@
 
 use crate::metrics::{FilterRow, ServerMetrics, StatsReport};
 use crate::proto::{Backend, ErrorCode, HeaderError, Request, Response, DEFAULT_MAX_FRAME};
-use bloofi::{BloofiConfig, BloofiIndex};
+use bloofi::BloofiIndex;
 use bloom::{AtomicBlockedBloomFilter, RegisterBlockedBloomFilter, TwoChoiceRegisterBloomFilter};
 use compacting::{CompactingConfig, CompactingFilter};
 use concurrent::{Sharded, MAX_SHARD_BITS};
@@ -117,7 +117,11 @@ pub struct ServerConfig {
     /// shutdown flag and sweeps idle connections.
     pub read_timeout: Duration,
     /// Largest `capacity` a CREATE may request (bounds server memory
-    /// taken by one request).
+    /// taken by one request). Filter size is linear in capacity and
+    /// grows with `log(1/eps)`, and CREATE's `eps` is floored at
+    /// [`compacting::MIN_EPS`], so at the default 2²⁸ one CREATE
+    /// allocates at most ~2.3 GB: 2.32 GB for the sharded CQF, 0.24
+    /// to 2.15 GB for the other backends.
     pub max_capacity: u64,
     /// Requests slower than this land in the slow-request log (and
     /// bump the slow-request counters). METRICS renders the log as
@@ -536,11 +540,12 @@ pub fn build_compacting(capacity: u64, eps: f64, seed: u64) -> CompactingFilter 
 /// running server owns one.
 pub struct Engine {
     pub(crate) registry: RwLock<BTreeMap<String, Arc<ServedFilter>>>,
-    /// Bloofi index over the registry: MULTI_CONTAINS descends this
-    /// tree instead of scanning every filter. Kept coherent with the
-    /// registry under a strict lock order (registry before index);
-    /// key inserts hit the index *before* the filter, so the index is
-    /// always a superset of filter contents — never a false negative.
+    /// Bloofi index over the registry: MULTI_CONTAINS scans this
+    /// bit-sliced matrix instead of probing every filter. Kept
+    /// coherent with the registry under a strict lock order
+    /// (registry before index); key inserts hit the index *before*
+    /// the filter, so the index is always a superset of filter
+    /// contents — never a false negative.
     pub(crate) index: RwLock<BloofiIndex>,
     pub(crate) metrics: ServerMetrics,
     /// Slow-request log: newest 256 requests over the threshold, with
@@ -556,7 +561,7 @@ impl Engine {
     pub fn new(config: ServerConfig) -> Engine {
         Engine {
             registry: RwLock::new(BTreeMap::new()),
-            index: RwLock::new(BloofiIndex::new(BloofiConfig::default())),
+            index: RwLock::new(BloofiIndex::new()),
             metrics: ServerMetrics::new(),
             slowlog: SlowLog::new(256),
             stop: AtomicBool::new(false),
@@ -584,19 +589,18 @@ impl Engine {
                 v.insert(Arc::new(filter));
                 FILTERS_REGISTERED.add(1);
                 // The filter arrived pre-built, so its key set is
-                // unknown: index a saturated leaf (conservative —
-                // always descended, never a false negative).
+                // unknown: index it saturated (conservative — always
+                // a candidate, never a false negative).
                 let mut idx = write_lock(&self.index);
                 idx.add_filter(name);
                 idx.saturate_filter(name);
-                idx.publish_gauges();
                 true
             }
         }
     }
 
     /// Install a filter directly *with* its key inventory: the index
-    /// gets an exact tracked leaf instead of a saturated one, so
+    /// gets an exact column instead of a saturated one, so
     /// MULTI_CONTAINS can prune this filter. The caller warrants that
     /// `keys` is exactly the set inserted into `filter` — missing
     /// keys would surface as index false negatives. Returns `false`
@@ -609,46 +613,27 @@ impl Engine {
                 v.insert(Arc::new(filter));
                 FILTERS_REGISTERED.add(1);
                 let mut idx = write_lock(&self.index);
-                let mut leaf = idx.config().leaf_summary();
-                for &k in keys {
-                    leaf.insert(k);
-                }
-                idx.add_filter_with(name, Some(&leaf));
-                idx.publish_gauges();
+                idx.add_filter(name);
+                idx.insert_keys(name, keys);
                 true
             }
         }
     }
 
-    /// Rebuild the Bloofi index from the current registry in one
-    /// balanced bottom-up pass ([`BloofiIndex::build_from`]). Every
-    /// leaf is saturated (the registry cannot enumerate its keys), so
-    /// this trades per-leaf selectivity for a balanced tree — useful
-    /// after bulk [`register`](Self::register) loading; filters
-    /// created over the wire already maintain exact summaries
-    /// incrementally.
-    pub fn rebuild_index(&self) {
-        let reg = read_lock(&self.registry);
-        let mut idx = write_lock(&self.index);
-        let cfg = idx.config();
-        let entries = reg.keys().map(|name| {
-            let mut s = cfg.leaf_summary();
-            s.saturate();
-            (name.clone(), s)
-        });
-        *idx = BloofiIndex::build_from(cfg, entries.collect::<Vec<_>>());
-        idx.publish_gauges();
+    /// Heap bytes of the Bloofi index (experiment E26 reports it).
+    pub fn index_size_in_bytes(&self) -> usize {
+        read_lock(&self.index).size_in_bytes()
     }
 
     /// Which registered filters (probably) contain each key — the
-    /// MULTI_CONTAINS core. Candidates come from an O(d·log N) Bloofi
-    /// descent per key (hash-hoisted in 32-key chunks), then each
+    /// MULTI_CONTAINS core. Candidates come from a Bloofi matrix scan
+    /// per key (8 rows of ⌈N/64⌉ words, in 32-key chunks), then each
     /// candidate is confirmed against the actual filter: no false
     /// negatives (the index covers every inserted key), and false
-    /// positives only where a leaf filter itself false-positives.
-    /// The answer is a subset of the flat scan's — a leaf filter
-    /// false-positive the index never proposed is (correctly) never
-    /// reported. Per-key lists are sorted.
+    /// positives only where a candidate filter itself
+    /// false-positives. The answer is a subset of the flat scan's — a
+    /// filter false-positive the index never proposed is (correctly)
+    /// never reported. Per-key lists are sorted.
     pub fn multi_contains(&self, keys: &[u64]) -> Vec<Vec<String>> {
         // Lock order: registry before index, matching every
         // structural site, so CREATE/FORGET can never deadlock
@@ -920,8 +905,11 @@ fn handle_create(
                 ),
             );
         }
-        if !(eps.is_finite() && eps > 0.0 && eps <= 0.5) {
-            return err(ErrorCode::Filter, format!("eps {eps} outside (0, 0.5]"));
+        if !(compacting::MIN_EPS..=0.5).contains(&eps) {
+            return err(
+                ErrorCode::Filter,
+                format!("eps {eps} outside [{}, 0.5]", compacting::MIN_EPS),
+            );
         }
         if shard_bits > MAX_SHARD_BITS {
             return err(
@@ -964,14 +952,13 @@ fn handle_create(
             // Index the newcomer while still holding the registry
             // write lock (registry-before-index order). A blob
             // arrived pre-populated with keys we cannot enumerate,
-            // so its leaf is saturated; a parameter build starts
-            // empty and accumulates from wire INSERTs.
+            // so it is saturated; a parameter build starts empty and
+            // accumulates from wire INSERTs.
             let mut idx = write_lock(&engine.index);
             idx.add_filter(name);
             if !blob.is_empty() {
                 idx.saturate_filter(name);
             }
-            idx.publish_gauges();
             Response::Ok
         }
     }
@@ -1183,9 +1170,7 @@ fn handle_forget(engine: &Engine, name: &str) -> Response {
     match reg.remove(name) {
         Some(_) => {
             FILTERS_REGISTERED.add(-1);
-            let mut idx = write_lock(&engine.index);
-            idx.remove_filter(name);
-            idx.publish_gauges();
+            write_lock(&engine.index).remove_filter(name);
             Response::Ok
         }
         None => err(ErrorCode::NoSuchFilter, format!("no filter named '{name}'")),
@@ -1310,23 +1295,24 @@ pub(crate) fn render_metrics(engine: &Engine) -> String {
         &m.request_latency.snapshot(),
     );
 
-    // In live builds the Bloofi shape gauges render from the
-    // telemetry registry (the bloofi crate registers them eagerly).
-    // With telemetry compiled out the index still serves
-    // MULTI_CONTAINS, so render its shape straight from the engine's
-    // tree — the exposition keeps the same families in both modes.
-    if telemetry::compiled_out() {
+    // The index gauges describe this server's index, so they render
+    // from it in every build mode (a process-wide gauge would mix the
+    // indexes of servers sharing a process).
+    {
         let idx = read_lock(&engine.index);
         r.gauge(
-            "bb_bloofi_depth",
-            "Height of the Bloofi index tree (interior levels above leaves).",
-            i64::from(idx.depth()),
+            "bb_bloofi_tenants",
+            "Filters indexed by this server's Bloofi index.",
+            idx.len() as i64,
         );
         r.gauge(
-            "bb_bloofi_nodes",
-            "Live nodes (leaves + interiors) in the Bloofi index tree.",
-            idx.node_count() as i64,
+            "bb_bloofi_saturated_tenants",
+            "Indexed filters whose key set is unknown (blob-created or migrated): \
+             MULTI_CONTAINS candidates for every key.",
+            idx.saturated_len() as i64,
         );
+    }
+    if telemetry::compiled_out() {
         r.gauge(
             "bb_simd_level",
             "Active SIMD dispatch tier (1=swar, 2=sse2, 3=avx2, 4=avx512, 5=neon).",
@@ -1580,7 +1566,7 @@ mod tests {
         ));
     }
 
-    /// The tree answer must be a subset of the flat scan (every
+    /// The index answer must be a subset of the flat scan (every
     /// match is confirmed by that filter, so any extra flat-scan
     /// entry is a pure filter false-positive the index pruned) and
     /// sorted per key.
@@ -1687,7 +1673,7 @@ mod tests {
     }
 
     #[test]
-    fn blob_created_filters_are_saturated_and_rebuild_keeps_parity() {
+    fn blob_created_filters_are_saturated() {
         let engine = Engine::new(ServerConfig::default());
         // Ship a pre-built filter as a blob: the server cannot
         // enumerate its keys, so the index must treat it as
@@ -1722,13 +1708,5 @@ mod tests {
         );
         assert!(engine.multi_contains(&[550])[0].contains(&"shipped".to_string()));
         assert!(engine.multi_contains(&[42])[0].contains(&"direct".to_string()));
-        // A bulk rebuild keeps the same answers (all leaves
-        // saturated: pure candidate generation, filters confirm).
-        engine.rebuild_index();
-        read_lock(&engine.index).check_invariants();
-        assert_eq!(
-            engine.multi_contains(&probes),
-            engine.multi_contains_flat(&probes)
-        );
     }
 }

@@ -112,9 +112,9 @@ pub struct SpanRecord {
     pub pid: u32,
     /// Recording thread (process-local ordinal, not an OS tid).
     pub tid: u64,
-    /// Span-specific annotation (e.g. Bloofi descent depth).
+    /// Span-specific annotation (e.g. Bloofi tenants scanned).
     pub a: u64,
-    /// Span-specific annotation (e.g. Bloofi descent width).
+    /// Span-specific annotation (e.g. Bloofi words scanned).
     pub b: u64,
 }
 
@@ -1079,7 +1079,7 @@ mod record {
 
     impl SpanGuard {
         /// Attach two annotation words (shown in the trace viewer's
-        /// `args`; e.g. Bloofi descent depth and width).
+        /// `args`; e.g. Bloofi tenants and words scanned).
         pub fn annotate(&self, a: u64, b: u64) {
             if let Some(s) = &self.inner {
                 s.a.set(a);

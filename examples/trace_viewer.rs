@@ -21,7 +21,7 @@ fn main() {
         ClusterClient::new(vec![node_a.local_addr(), node_b.local_addr()]).expect("cluster");
 
     // A few tenants so the traced MULTI_CONTAINS has a registry (and
-    // a Bloofi tree) to descend on every node.
+    // a Bloofi index) to scan on every node.
     let keys = unique_keys(42, 10_000);
     for i in 0..4 {
         let name = format!("tenant-{i}");

@@ -692,7 +692,7 @@ fn batched_matches_pointwise<F: beyond_bloom::core::BatchedFilter>(
 }
 
 // ===============================================================
-// Bloofi hierarchical index vs flat-scan oracle (over the wire)
+// Bloofi index vs flat-scan oracle (over the wire)
 // ===============================================================
 
 proptest! {
@@ -702,7 +702,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random CREATE/INSERT/FORGET interleavings over mixed backends:
-    /// MULTI_CONTAINS (Bloofi descent + leaf confirmation) must name
+    /// MULTI_CONTAINS (Bloofi scan + filter confirmation) must name
     /// every filter that truly holds a key (zero false negatives),
     /// and may name a filter only when that filter itself answers
     /// positive (false positives only where a leaf false-positives).
@@ -804,5 +804,122 @@ proptest! {
         }
         drop(c);
         server.shutdown();
+    }
+}
+
+// ===============================================================
+// Bloofi candidates vs a per-tenant summary model (in-process)
+// ===============================================================
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Drive `BloofiIndex` directly with random CREATE, INSERT, FORGET
+    /// and saturate calls: `base` CREATEs first grow the matrix past
+    /// 64 (and often 128) tenants after `t0`'s column has been filled,
+    /// so a growth that left stale words would surface in the new
+    /// slots; then FORGETs free slots that later CREATEs reuse. For
+    /// every key ever inserted (a sample of `t0`'s) plus random probes,
+    /// the index's candidate set must *equal* the tenants whose naive
+    /// 64-block summary covers the key (same seed, same
+    /// `block_mask_256`), plus every saturated tenant.
+    #[test]
+    fn bloofi_candidates_equal_covering_tenants(
+        base in 65usize..200,
+        ops in prop::collection::vec(
+            (0u8..8, 0usize..200, prop::collection::vec(any::<u64>(), 0..6)),
+            1..300,
+        ),
+        probes in prop::collection::vec(any::<u64>(), 1..64),
+    ) {
+        use beyond_bloom::bloofi::{BloofiIndex, BLOCKS, SEED};
+        use beyond_bloom::core::{simd, Hasher};
+        use std::collections::BTreeMap;
+
+        struct Summary {
+            blocks: Vec<[u64; 4]>,
+            saturated: bool,
+        }
+        let locate = |key: u64| {
+            let (h1, h2) = Hasher::with_seed(SEED).hash_pair(&key);
+            ((h1 % BLOCKS as u64) as usize, simd::block_mask_256(h2 as u32))
+        };
+        let mut idx = BloofiIndex::new();
+        let mut model: BTreeMap<String, Summary> = BTreeMap::new();
+        let mut inserted: Vec<u64> = Vec::new();
+        let create = |idx: &mut BloofiIndex, model: &mut BTreeMap<String, Summary>, name: &str| {
+            if !model.contains_key(name) {
+                assert!(idx.add_filter(name));
+                model.insert(name.to_string(), Summary {
+                    blocks: vec![[0; 4]; BLOCKS],
+                    saturated: false,
+                });
+            } else {
+                assert!(!idx.add_filter(name), "duplicate CREATE rejected");
+            }
+        };
+        let insert = |idx: &BloofiIndex,
+                      model: &mut BTreeMap<String, Summary>,
+                      name: &str,
+                      keys: &[u64]| {
+            assert!(idx.insert_keys(name, keys));
+            let summary = model.get_mut(name).unwrap();
+            for &k in keys {
+                let (b, mask) = locate(k);
+                for (w, m) in summary.blocks[b].iter_mut().zip(mask) {
+                    *w |= m;
+                }
+            }
+        };
+        create(&mut idx, &mut model, "t0");
+        let dense: Vec<u64> =
+            (0..20_000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+        insert(&idx, &mut model, "t0", &dense);
+        inserted.extend(&dense[..64]);
+        for t in 1..base {
+            create(&mut idx, &mut model, &format!("t{t}"));
+        }
+        for (kind, t, keys) in ops {
+            let name = format!("t{t}");
+            match kind {
+                0 | 1 => {
+                    prop_assert_eq!(idx.remove_filter(&name), model.remove(&name).is_some());
+                }
+                2 => {
+                    let known = model.get_mut(&name).map(|s| s.saturated = true).is_some();
+                    prop_assert_eq!(idx.saturate_filter(&name), known);
+                }
+                3 => create(&mut idx, &mut model, &name),
+                _ => {
+                    create(&mut idx, &mut model, &name);
+                    insert(&idx, &mut model, &name, &keys);
+                    inserted.extend(&keys);
+                }
+            }
+        }
+        prop_assert_eq!(idx.len(), model.len());
+        prop_assert_eq!(
+            idx.saturated_len(),
+            model.values().filter(|s| s.saturated).count()
+        );
+        let mut all_probes = inserted;
+        all_probes.extend(&probes);
+        let mut candidates = Vec::new();
+        for chunk in all_probes.chunks(32) {
+            idx.multi_contains_chunk(chunk, &mut candidates);
+            for (&key, ids) in chunk.iter().zip(&candidates) {
+                let mut got: Vec<&str> = ids.iter().map(|&id| idx.leaf_name(id)).collect();
+                got.sort_unstable();
+                let (b, mask) = locate(key);
+                let want: Vec<&str> = model
+                    .iter()
+                    .filter(|(_, s)| {
+                        s.saturated || s.blocks[b].iter().zip(&mask).all(|(w, m)| w & m == *m)
+                    })
+                    .map(|(name, _)| name.as_str())
+                    .collect();
+                prop_assert_eq!(got, want, "candidates for key {}", key);
+            }
+        }
     }
 }

@@ -51,6 +51,17 @@ fn two_choice_bloom_roundtrip_and_corruption() {
     }
     assert!(beyond_bloom::bloom::TwoChoiceRegisterBloomFilter::from_bytes(&rb.to_bytes()).is_err());
     assert!(beyond_bloom::bloom::RegisterBlockedBloomFilter::from_bytes(&bytes).is_err());
+    // A block count (u64 at offset 4) with bit 62 set still matches
+    // the stored word count once `blocks * 4` wraps; it must be
+    // refused, not sized into an allocation.
+    let wrap = |mut b: Vec<u8>| {
+        b[11] |= 0x40;
+        b
+    };
+    assert!(beyond_bloom::bloom::TwoChoiceRegisterBloomFilter::from_bytes(&wrap(bytes)).is_err());
+    assert!(
+        beyond_bloom::bloom::RegisterBlockedBloomFilter::from_bytes(&wrap(rb.to_bytes())).is_err()
+    );
 }
 
 #[test]
@@ -167,6 +178,18 @@ fn compacting_corrupt_bytes_rejected() {
     let mut wrong = bytes.clone();
     wrong[0] ^= 0xff;
     assert!(CompactingFilter::from_bytes(&wrong).is_err());
+    // Forged size fields must be refused before they size an
+    // allocation: a 2^40-key front (offset 8) and a ~1.7e9 tier count
+    // (offset 64). A Monkey allocation tag (offset 44) turns the
+    // stored 0.0 into a ratio that would panic the compaction thread.
+    let forge = |at: usize, field: &[u8]| {
+        let mut b = bytes.clone();
+        b[at..at + field.len()].copy_from_slice(field);
+        b
+    };
+    assert!(CompactingFilter::from_bytes(&forge(8, &(1u64 << 40).to_le_bytes())).is_err());
+    assert!(CompactingFilter::from_bytes(&forge(64, &0x6800_0000u32.to_le_bytes())).is_err());
+    assert!(CompactingFilter::from_bytes(&forge(44, &1u32.to_le_bytes())).is_err());
     // Cross-family confusion: a raw fuse blob is not a snapshot.
     let fuse =
         beyond_bloom::xorf::BinaryFuseFilter::build(&keys, beyond_bloom::xorf::FuseArity::Four, 8)
@@ -229,4 +252,130 @@ fn cuckoo_and_cqf_corrupt_bytes_rejected() {
     // Cross-family confusion in both directions.
     assert!(beyond_bloom::quotient::CountingQuotientFilter::from_bytes(&cf.to_bytes()).is_err());
     assert!(beyond_bloom::cuckoo::CuckooFilter::from_bytes(&qf.to_bytes()).is_err());
+    // Forged geometry: 2^58 buckets of 4 16-bit slots claim 2^64 bits,
+    // which wraps to the zero bits shipped; a CQF header claiming 2^40
+    // home slots (u32 q at offset 4) would allocate them up front.
+    let mut w = beyond_bloom::core::ByteWriter::new();
+    w.put_u32(0xcc4f_f117);
+    w.put_u64(1 << 58);
+    w.put_u32(4);
+    w.put_u32(16);
+    for seed_items_kicks in [0, 0, 0] {
+        w.put_u64(seed_items_kicks);
+    }
+    w.put_u64(1 << 60);
+    w.put_u32(16);
+    w.put_u64(0);
+    w.put_u64_slice(&[]);
+    assert!(beyond_bloom::cuckoo::CuckooFilter::from_bytes(&w.into_bytes()).is_err());
+    let mut forged = qf.to_bytes();
+    forged[4..8].copy_from_slice(&40u32.to_le_bytes());
+    assert!(beyond_bloom::quotient::CountingQuotientFilter::from_bytes(&forged).is_err());
+}
+
+/// Mutants of a snapshot blob: every bit flip and every 4-aligned
+/// u32/u64 overwrite with an edge value in the first 72 bytes (the
+/// header fields of every backend, and of the shard envelope and its
+/// first shard), then `random` seeded bit flips, truncations and
+/// overwrites anywhere.
+fn mutants(bytes: &[u8], random: usize, rng: &mut rand::rngs::StdRng) -> Vec<Vec<u8>> {
+    use rand::Rng;
+    const U32S: [u32; 6] = [0, 1, 0xff, 0x6800_0000, 0x7fff_ffff, u32::MAX];
+    const U64S: [u64; 6] = [0, 1, 1 << 24, 1 << 40, 1 << 62, u64::MAX];
+    let put = |at: usize, field: &[u8]| {
+        let mut b = bytes.to_vec();
+        let end = (at + field.len()).min(b.len());
+        b[at..end].copy_from_slice(&field[..end - at]);
+        b
+    };
+    let flip = |bit: usize| {
+        let mut b = bytes.to_vec();
+        b[bit / 8] ^= 1 << (bit % 8);
+        b
+    };
+    let head = bytes.len().min(72);
+    let mut out: Vec<Vec<u8>> = (0..head * 8).map(flip).collect();
+    for at in (0..head).step_by(4) {
+        out.extend(U32S.iter().map(|v| put(at, &v.to_le_bytes())));
+        out.extend(U64S.iter().map(|v| put(at, &v.to_le_bytes())));
+    }
+    for _ in 0..random {
+        let at = rng.gen_range(0..bytes.len());
+        out.push(match rng.gen_range(0..4u32) {
+            0 => flip(at * 8 + rng.gen_range(0..8usize)),
+            1 => bytes[..at].to_vec(),
+            2 => put(at, &rng.gen::<u32>().to_le_bytes()),
+            _ => put(at, &rng.gen::<u64>().to_le_bytes()),
+        });
+    }
+    out
+}
+
+/// Hostile SNAPSHOT blobs through the engine: [`mutants`] of every
+/// backend's snapshot, sent as blob-CREATEs through
+/// `engine::dispatch`. Each must be refused with a `Filter` error, or
+/// yield a filter that can be probed, inserted into and forgotten:
+/// never a panic, never an abort.
+#[test]
+fn mutated_snapshot_blobs_never_panic_the_engine() {
+    use beyond_bloom::service::engine::{dispatch, Engine};
+    use beyond_bloom::service::{Backend, ErrorCode, Request, Response, ServerConfig};
+    use rand::SeedableRng;
+
+    let engine = Engine::new(ServerConfig::default());
+    let call = |req: Request| dispatch(&engine, &req.encode()).0;
+    let keys = unique_keys(968, 2_000);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_b10b);
+    let backends = [
+        Backend::AtomicBloom,
+        Backend::ShardedCuckoo,
+        Backend::ShardedCqf,
+        Backend::RegisterBloom,
+        Backend::Compacting,
+        Backend::TwoChoiceBloom,
+    ];
+    for (i, backend) in backends.into_iter().enumerate() {
+        let source = format!("src-{i}");
+        let create = |name: &str, blob: Vec<u8>| Request::Create {
+            name: name.to_string(),
+            backend,
+            capacity: 2_000,
+            eps: 0.01,
+            shard_bits: 2,
+            seed: i as u64,
+            blob,
+        };
+        assert_eq!(call(create(&source, Vec::new())), Response::Ok);
+        let fill = Request::Insert {
+            name: source.clone(),
+            keys: keys[..1_500].to_vec(),
+        };
+        assert_eq!(call(fill), Response::Ok);
+        let Response::Blob { bytes, .. } = call(Request::Snapshot { name: source }) else {
+            panic!("{backend:?}: SNAPSHOT failed");
+        };
+        for (m, blob) in mutants(&bytes, 400, &mut rng).into_iter().enumerate() {
+            let name = format!("m-{i}-{m}");
+            match call(create(&name, blob)) {
+                Response::Ok => {
+                    let probe = keys[..64].to_vec();
+                    let fresh = keys[1_500..1_564].to_vec();
+                    let _ = call(Request::Contains {
+                        name: name.clone(),
+                        keys: probe.clone(),
+                    });
+                    let _ = call(Request::Insert {
+                        name: name.clone(),
+                        keys: fresh,
+                    });
+                    let _ = call(Request::MultiContains { keys: probe });
+                    assert_eq!(call(Request::Forget { name }), Response::Ok);
+                }
+                Response::Error { code, .. } => {
+                    assert_eq!(code, ErrorCode::Filter, "{backend:?} mutant {m}")
+                }
+                other => panic!("{backend:?} mutant {m}: unexpected {other:?}"),
+            }
+        }
+    }
 }

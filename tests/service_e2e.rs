@@ -405,6 +405,15 @@ fn error_codes_are_precise() {
         ),
         ErrorCode::Filter
     );
+    // A tiny eps at the largest admitted capacity would ask for
+    // ~54 GB; the eps floor refuses it.
+    assert_eq!(
+        remote_code(
+            c.create("tiny-eps", Backend::AtomicBloom, 1 << 28, 1e-300, 0, 1)
+                .map(|_| ())
+        ),
+        ErrorCode::Filter
+    );
 
     // The connection is still perfectly usable after every error.
     c.insert("a", &[42]).unwrap();
@@ -674,15 +683,35 @@ fn metrics_exposition_is_valid_and_spans_layers() {
         "bb_filter_keys",
         "bb_filter_size_bytes",
         "bb_filter_inventory_truncated",
-        "bb_bloofi_depth",
-        "bb_bloofi_nodes",
+        "bb_bloofi_tenants",
+        "bb_bloofi_saturated_tenants",
     ] {
         assert!(expo.has_family(fam), "missing family {fam}");
     }
+    if !compiled_out {
+        assert!(expo.has_family("bb_bloofi_candidates"));
+    }
     // Three filters fit comfortably under the inventory series cap.
     assert_eq!(expo.value("bb_filter_inventory_truncated").unwrap(), 0.0);
-    // The hierarchical index tracks every registered filter.
-    assert!(expo.value("bb_bloofi_nodes").unwrap() >= 1.0);
+    // The index tracks every registered filter; none is saturated.
+    assert_eq!(expo.value("bb_bloofi_tenants").unwrap(), 3.0);
+    assert_eq!(expo.value("bb_bloofi_saturated_tenants").unwrap(), 0.0);
+    // A blob-CREATE has keys the index cannot enumerate, so it raises
+    // the saturated gauge; its FORGET lowers it again.
+    let saturated = |c: &mut FilterClient| {
+        let text = c.metrics_text().unwrap();
+        let expo = beyond_bloom::telemetry::expo::parse(&text).expect("exposition");
+        expo.value("bb_bloofi_saturated_tenants").unwrap()
+    };
+    let blob = match c.snapshot("mx-bloom").unwrap() {
+        (Backend::AtomicBloom, bytes) => bytes,
+        other => panic!("unexpected snapshot {other:?}"),
+    };
+    c.create_prebuilt("mx-shipped", Backend::AtomicBloom, blob)
+        .unwrap();
+    assert_eq!(saturated(&mut c), 1.0);
+    c.forget("mx-shipped").unwrap();
+    assert_eq!(saturated(&mut c), 0.0);
     // The SIMD tier info gauge is exported at registry init and
     // matches the level the dispatcher actually resolved.
     assert_eq!(
@@ -1339,7 +1368,7 @@ fn cluster_routes_migrates_and_replicates_across_live_servers() {
 // Distributed tracing: one traced probe at the cluster client must
 // assemble into a single cross-process trace spanning client
 // routing, both servers, engine dispatch, the Bloofi
-// descent — and, when the traced insert seals a memtable, a span
+// scan — and, when the traced insert seals a memtable, a span
 // linked to the background compaction that drains it.
 // ===============================================================
 
@@ -1401,7 +1430,7 @@ fn trace_route_assembles_one_cross_process_trace() {
     let (addr_a, addr_b) = (node_a.local_addr(), node_b.local_addr());
     let mut cluster = ClusterClient::new(vec![addr_a, addr_b]).expect("cluster");
 
-    // A few plain filters so the Bloofi descent has a tree to walk,
+    // A few plain filters so the Bloofi scan has tenants to test,
     // plus a compacting filter primed one key short of a seal: its
     // memtable holds 1/16 of capacity floored at 1024 keys, so 1023
     // inserts leave the traced insert to tip it over.
@@ -1480,13 +1509,13 @@ fn trace_route_assembles_one_cross_process_trace() {
     }
     // Engine and index layers reported under each server request.
     assert_eq!(count("engine:multi_contains"), 2);
-    assert!(count("bloofi:descent") >= 2, "descent span per node");
-    let descent = trace
+    assert!(count("bloofi:scan") >= 2, "scan span per node");
+    let scan = trace
         .spans
         .iter()
-        .find(|s| s.name == "bloofi:descent" && s.b > 0)
-        .expect("a non-trivial descent (probes counted)");
-    assert!(descent.a >= 1, "descent records tree depth");
+        .find(|s| s.name == "bloofi:scan" && s.b > 0)
+        .expect("a non-trivial scan (words counted)");
+    assert!(scan.a >= 1, "scan records tenants");
 
     // ---- Phase 2: a traced insert that seals links the background
     // compaction into the same trace. ----
