@@ -5,11 +5,12 @@
 //! default 1-in-256 head-sampling rate. This experiment measures that
 //! promise on the transports' frame loop minus only the socket
 //! syscalls: per-request latency timing, [`service::engine::dispatch`]
-//! on pre-encoded CONTAINS batches, response encode plus length-prefix
-//! framing into an outbound buffer, and `record_request` accounting —
-//! with and without the `server:request` guard **in one binary**, so
-//! both sides execute identical machine code and differ only in the
-//! trace calls around it.
+//! on pre-encoded CONTAINS batches, the servers' frame encoder
+//! (`proto::encode_frame`) into an outbound buffer, and
+//! `record_request` accounting — with and without the
+//! `server:request` guard **in one binary**, so both sides execute
+//! identical machine code and differ only in the trace calls around
+//! it.
 //!
 //! Methodology (E22's paired protocol): each workload runs `ROUNDS`
 //! interleaved (traced, untraced) pass pairs, alternating which mode
@@ -31,6 +32,7 @@
 
 use super::header;
 use service::engine::{dispatch, Engine};
+use service::proto::encode_frame;
 use service::{Request, ServerConfig};
 use std::time::{Duration, Instant};
 use workloads::{disjoint_keys, unique_keys};
@@ -194,8 +196,8 @@ pub fn e27_trace() -> bool {
     };
 
     // The measured unit mirrors the transports' frame loop minus the
-    // socket syscalls: request latency timing, dispatch, response
-    // encode + length-prefix framing into an outbound buffer, and
+    // socket syscalls: request latency timing, dispatch, the servers'
+    // response frame encoder into an outbound buffer, and
     // per-request accounting (`record_request`) all run in BOTH
     // modes, exactly as the servers run them whether or not tracing
     // is enabled. The traced side adds only the per-request guard —
@@ -210,9 +212,7 @@ pub fn e27_trace() -> bool {
             if traced {
                 let guard = telemetry::trace::begin("server:request", None);
                 let (resp, info) = dispatch(engine, p);
-                let bytes = resp.encode();
-                obuf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                obuf.extend_from_slice(&bytes);
+                encode_frame(&mut obuf, None, |out| resp.encode_into(out));
                 acc = acc.wrapping_add(obuf.len() as u64);
                 let dt = t0.elapsed();
                 let slow = dt >= threshold;
@@ -220,9 +220,7 @@ pub fn e27_trace() -> bool {
                 guard.finish_timed(dt, slow, false);
             } else {
                 let (resp, info) = dispatch(engine, p);
-                let bytes = resp.encode();
-                obuf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                obuf.extend_from_slice(&bytes);
+                encode_frame(&mut obuf, None, |out| resp.encode_into(out));
                 acc = acc.wrapping_add(obuf.len() as u64);
                 let dt = t0.elapsed();
                 engine.record_request(dt, info, None, 0);

@@ -311,9 +311,12 @@ impl<F: Filter> Sharded<F> {
     }
 
     /// Distinct keys represented, summed over shards (a racing
-    /// snapshot under concurrent writes).
+    /// snapshot under concurrent writes). Saturates: a shard restored
+    /// from a forged blob may claim any count.
     pub fn len(&self) -> usize {
-        self.for_each_shard(|f| f.len()).into_iter().sum()
+        self.for_each_shard(|f| f.len())
+            .into_iter()
+            .fold(0, usize::saturating_add)
     }
 
     /// True when no keys are stored.

@@ -40,6 +40,12 @@ impl ByteWriter {
         Self::default()
     }
 
+    /// Append to the end of `buf`, reusing its allocation;
+    /// [`into_bytes`](Self::into_bytes) hands it back.
+    pub fn with_buffer(buf: Vec<u8>) -> Self {
+        ByteWriter { buf }
+    }
+
     /// Append a `u32`.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());

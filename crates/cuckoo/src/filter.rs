@@ -154,7 +154,9 @@ impl CuckooFilter {
         if n_buckets.checked_mul(bucket_size) != Some(slots.len()) || slots.width() != fp_bits {
             return Err(SerialError::Corrupt("cuckoo slot table"));
         }
-        if items > slots.len() {
+        // `remove` decrements `items` per occupied slot it clears, so
+        // a count below the occupancy would underflow.
+        if items != (0..slots.len()).filter(|&i| slots.get(i) != 0).count() {
             return Err(SerialError::Corrupt("cuckoo item count"));
         }
         Ok(CuckooFilter {

@@ -8,10 +8,9 @@
 
 use crate::metrics::StatsReport;
 use crate::proto::{
-    write_frame_traced, Backend, ErrorCode, FrameError, FrameEvent, FrameReader, Request, Response,
-    DEFAULT_MAX_FRAME,
+    encode_frame, Backend, ErrorCode, FrameError, FrameReader, Request, Response, DEFAULT_MAX_FRAME,
 };
-use std::io;
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use telemetry::trace::{Trace, TraceContext};
 
@@ -58,8 +57,10 @@ impl From<io::Error> for ClientError {
 
 /// A blocking connection to a [`crate::evented::EventedFilterServer`].
 pub struct FilterClient {
-    stream: TcpStream,
+    /// The connection, read through the frame decoder.
     frames: FrameReader<TcpStream>,
+    /// Reused buffer: each request frame is built here, then sent in one `write`.
+    out: Vec<u8>,
 }
 
 impl FilterClient {
@@ -75,10 +76,9 @@ impl FilterClient {
     ) -> io::Result<FilterClient> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        let read_half = stream.try_clone()?;
         Ok(FilterClient {
-            stream,
-            frames: FrameReader::new(read_half, max_frame),
+            frames: FrameReader::new(stream, max_frame),
+            out: Vec::new(),
         })
     }
 
@@ -97,20 +97,19 @@ impl FilterClient {
         req: &Request,
         ctx: Option<TraceContext>,
     ) -> Result<Response, ClientError> {
-        write_frame_traced(&mut self.stream, &req.encode(), ctx.as_ref())?;
+        self.out.clear();
+        encode_frame(&mut self.out, ctx.as_ref(), |out| req.encode_into(out));
+        self.frames.get_mut().write_all(&self.out)?;
         loop {
-            match self.frames.read_frame() {
-                Ok(FrameEvent::Frame(payload, _)) => {
-                    return Response::decode(&payload).map_err(ClientError::Protocol)
-                }
-                Ok(FrameEvent::Closed) => return Err(ClientError::ServerClosed),
+            match self.frames.read_with(|f| Response::decode(f.payload)) {
+                Ok(Some(resp)) => return resp.map_err(ClientError::Protocol),
+                Ok(None) | Err(FrameError::Disconnected) => return Err(ClientError::ServerClosed),
                 // The client socket has no read timeout by default,
                 // but tolerate one if the caller configured it.
                 Err(FrameError::Timeout) => continue,
-                Err(FrameError::Disconnected) => return Err(ClientError::ServerClosed),
-                Err(FrameError::Oversized(_)) => {
+                Err(FrameError::Refused(_)) => {
                     return Err(ClientError::Protocol(filter_core::SerialError::Corrupt(
-                        "oversized response frame",
+                        "response frame length refused",
                     )))
                 }
                 Err(FrameError::Io(e)) => return Err(ClientError::Io(e)),
@@ -303,6 +302,6 @@ impl FilterClient {
     /// The underlying stream (tests use this to simulate abrupt
     /// disconnects and raw writes).
     pub fn stream(&mut self) -> &mut TcpStream {
-        &mut self.stream
+        self.frames.get_mut()
     }
 }

@@ -17,7 +17,9 @@
 //! the sharded backends), exactly as measured in E14/E15.
 
 use crate::metrics::{FilterRow, ServerMetrics, StatsReport};
-use crate::proto::{Backend, ErrorCode, HeaderError, Request, Response, DEFAULT_MAX_FRAME};
+use crate::proto::{
+    Backend, ErrorCode, HeaderError, Request, Response, DEFAULT_MAX_FRAME, PROTO_VERSION,
+};
 use bloofi::BloofiIndex;
 use bloom::{AtomicBlockedBloomFilter, RegisterBlockedBloomFilter, TwoChoiceRegisterBloomFilter};
 use compacting::{CompactingConfig, CompactingFilter};
@@ -304,9 +306,10 @@ fn decode_shard_envelope(bytes: &[u8]) -> Option<Result<Vec<Vec<u8>>, SerialErro
 /// Per-request context carried from dispatch to the slow-request log.
 /// Opaque outside the crate; benches that drive [`dispatch`] directly
 /// simply discard it.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 pub struct ReqInfo {
-    /// Wire opcode (1..=9), or 0 when the payload failed decoding.
+    /// Request opcode (named by `proto::op_name`), or 0 when the
+    /// payload failed decoding.
     op: u8,
     /// Backend the request resolved to, when it named a filter.
     backend: Option<Backend>,
@@ -315,14 +318,6 @@ pub struct ReqInfo {
 }
 
 impl ReqInfo {
-    fn bare(op: u8) -> ReqInfo {
-        ReqInfo {
-            op,
-            backend: None,
-            batch: 0,
-        }
-    }
-
     /// Pack into the event ring's second payload slot:
     /// `op << 56 | (backend_tag + 1) << 48 | batch` (backend 0 means
     /// "none").
@@ -339,23 +334,6 @@ impl ReqInfo {
             tag => Backend::from_u32(tag - 1).map_or("-", |b| b.name()),
         };
         (op, backend, b as u32)
-    }
-
-    fn op_name(op: u8) -> &'static str {
-        match op {
-            1 => "CREATE",
-            2 => "INSERT",
-            3 => "CONTAINS",
-            4 => "COUNT",
-            5 => "DELETE",
-            6 => "STATS",
-            7 => "METRICS",
-            8 => "SNAPSHOT",
-            9 => "FORGET",
-            10 => "MULTI_CONTAINS",
-            11 => "TRACES",
-            _ => "BAD",
-        }
     }
 }
 
@@ -729,38 +707,24 @@ fn filter_err(e: FilterError) -> Response {
 /// records. Public so the bench harness (E27) can drive the exact
 /// server dispatch path in-process, without sockets.
 pub fn dispatch(engine: &Engine, payload: &[u8]) -> (Response, ReqInfo) {
-    let m = &engine.metrics;
+    // A payload that fails decoding is answered and logged as opcode 0.
+    let refuse = |code, message: String| {
+        engine.metrics.protocol_errors.inc();
+        (err(code, message), ReqInfo::default())
+    };
     let req = match Request::decode(payload) {
         Ok(Ok(req)) => req,
-        Ok(Err(op)) => {
-            m.protocol_errors.inc();
-            return (
-                err(ErrorCode::UnknownOpcode, format!("unknown opcode {op}")),
-                ReqInfo::bare(0),
-            );
-        }
+        Ok(Err(op)) => return refuse(ErrorCode::UnknownOpcode, format!("unknown opcode {op}")),
         Err(HeaderError::Version(v)) => {
-            m.protocol_errors.inc();
-            return (
-                err(
-                    ErrorCode::UnsupportedVersion,
-                    format!(
-                        "version {v}, this server speaks {}",
-                        crate::proto::PROTO_VERSION
-                    ),
-                ),
-                ReqInfo::bare(0),
-            );
+            let message = format!("version {v}, this server speaks {PROTO_VERSION}");
+            return refuse(ErrorCode::UnsupportedVersion, message);
         }
         Err(HeaderError::Serial(e)) => {
-            m.protocol_errors.inc();
-            return (
-                err(ErrorCode::BadFrame, format!("malformed payload: {e}")),
-                ReqInfo::bare(0),
-            );
+            return refuse(ErrorCode::BadFrame, format!("malformed payload: {e}"))
         }
     };
-    match req {
+    let op = req.opcode() as u8;
+    let (resp, backend, batch) = match req {
         Request::Create {
             name,
             backend,
@@ -773,81 +737,33 @@ pub fn dispatch(engine: &Engine, payload: &[u8]) -> (Response, ReqInfo) {
             handle_create(
                 engine, &name, backend, capacity, eps, shard_bits, seed, &blob,
             ),
-            ReqInfo {
-                op: 1,
-                backend: Some(backend),
-                batch: 0,
-            },
+            Some(backend),
+            0,
         ),
         Request::Insert { name, keys } => {
             let (resp, backend) = handle_insert(engine, &name, &keys);
-            (
-                resp,
-                ReqInfo {
-                    op: 2,
-                    backend,
-                    batch: keys.len() as u32,
-                },
-            )
+            (resp, backend, keys.len())
         }
         Request::Contains { name, keys } => {
             let (resp, backend) = handle_contains(engine, &name, &keys);
-            (
-                resp,
-                ReqInfo {
-                    op: 3,
-                    backend,
-                    batch: keys.len() as u32,
-                },
-            )
+            (resp, backend, keys.len())
         }
         Request::Count { name, keys } => {
             let (resp, backend) = handle_count(engine, &name, &keys);
-            (
-                resp,
-                ReqInfo {
-                    op: 4,
-                    backend,
-                    batch: keys.len() as u32,
-                },
-            )
+            (resp, backend, keys.len())
         }
         Request::Delete { name, keys } => {
             let (resp, backend) = handle_delete(engine, &name, &keys);
-            (
-                resp,
-                ReqInfo {
-                    op: 5,
-                    backend,
-                    batch: keys.len() as u32,
-                },
-            )
+            (resp, backend, keys.len())
         }
-        Request::Stats => (handle_stats(engine), ReqInfo::bare(6)),
-        Request::Metrics => (Response::Text(render_metrics(engine)), ReqInfo::bare(7)),
+        Request::Stats => (handle_stats(engine), None, 0),
+        Request::Metrics => (Response::Text(render_metrics(engine)), None, 0),
         Request::Snapshot { name } => {
             let (resp, backend) = handle_snapshot(engine, &name);
-            (
-                resp,
-                ReqInfo {
-                    op: 8,
-                    backend,
-                    batch: 0,
-                },
-            )
+            (resp, backend, 0)
         }
-        Request::Forget { name } => (handle_forget(engine, &name), ReqInfo::bare(9)),
-        Request::MultiContains { keys } => {
-            let resp = handle_multi_contains(engine, &keys);
-            (
-                resp,
-                ReqInfo {
-                    op: 10,
-                    backend: None,
-                    batch: keys.len() as u32,
-                },
-            )
-        }
+        Request::Forget { name } => (handle_forget(engine, &name), None, 0),
+        Request::MultiContains { keys } => (handle_multi_contains(engine, &keys), None, keys.len()),
         Request::Traces { json } => {
             let traces = telemetry::trace::store().take();
             let resp = if json {
@@ -855,9 +771,15 @@ pub fn dispatch(engine: &Engine, payload: &[u8]) -> (Response, ReqInfo) {
             } else {
                 Response::Traces(traces)
             };
-            (resp, ReqInfo::bare(11))
+            (resp, None, 0)
         }
-    }
+    };
+    let info = ReqInfo {
+        op,
+        backend,
+        batch: batch as u32,
+    };
+    (resp, info)
 }
 
 // `Response` is as large as its Stats variant; error responses here
@@ -1411,7 +1333,7 @@ pub(crate) fn render_metrics(engine: &Engine) -> String {
             "slow seq={} t_us={} op={} backend={} batch={} latency_ns={} peer={}",
             ev.seq,
             ev.t_us,
-            ReqInfo::op_name(op),
+            crate::proto::op_name(u32::from(op)),
             backend,
             batch,
             ev.latency_ns,

@@ -19,13 +19,11 @@
 //!
 //! # Pipelining
 //!
-//! Each connection keeps a rolling inbound buffer. One readiness
-//! drain reads until `WouldBlock`, then dispatches **every** complete
-//! frame in the buffer, appending responses in request order to a
-//! per-connection outbound buffer — many in-flight frames per socket,
-//! responses strictly ordered. Frames are parsed in place
-//! (`&ibuf[start..start+len]` straight into the engine's dispatch) —
-//! no per-frame allocation or copy on the request path.
+//! Each connection reads into its [`FrameDecoder`] and dispatches
+//! **every** frame a read completes, encoding the responses in request
+//! order into a per-connection outbound buffer — many in-flight frames
+//! per socket, responses strictly ordered, and no per-frame allocation
+//! or copy on either side of dispatch.
 //!
 //! # Drain
 //!
@@ -39,14 +37,16 @@
 //! # Safety
 //!
 //! This module is pure safe code (`service` forbids unsafe); all fd
-//! handling lives behind `eventloop`'s audited syscall island. The
-//! loop tolerates spurious readiness by construction — every read and
-//! write runs until `WouldBlock` — which is exactly the contract the
-//! scan-fallback poller needs, and why `BEYOND_BLOOM_FORCE_POLL=1`
-//! runs the full e2e suite unchanged.
+//! handling lives behind `eventloop`'s audited syscall island. Reading
+//! stops at the first short read: bytes that land later still wake the
+//! loop, because epoll is level-triggered and the scan fallback reports
+//! every connection on each wait. Spurious readiness costs one
+//! `WouldBlock` read, which is why `BEYOND_BLOOM_FORCE_POLL=1` runs the
+//! full e2e suite unchanged.
 
-use crate::engine::{dispatch, render_metrics, Engine, ServerConfig};
-use crate::proto::{ErrorCode, Response, FLAG_TRACE};
+use crate::engine::{dispatch, err, render_metrics, Engine, ServerConfig};
+use crate::metrics::ServerMetrics;
+use crate::proto::{encode_frame, ErrorCode, FrameDecoder, Response};
 use eventloop::{net, os_fd, BackendKind, Event, Interest, Poller, Token};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -55,7 +55,6 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use telemetry::trace::TraceContext;
 
 #[cfg(unix)]
 use std::os::unix::net::UnixStream as Waker;
@@ -73,10 +72,8 @@ struct Conn {
     stream: TcpStream,
     /// Peer address, cached at accept for the slow-request log.
     peer: Option<SocketAddr>,
-    /// Inbound bytes not yet parsed into frames. `start` is the parse
-    /// cursor; `ibuf[start..]` is unconsumed.
-    ibuf: Vec<u8>,
-    start: usize,
+    /// Inbound bytes, cut into frames.
+    frames: FrameDecoder,
     /// Responses serialized and not yet fully written. `osent` is the
     /// flushed prefix.
     obuf: Vec<u8>,
@@ -85,8 +82,6 @@ struct Conn {
     want_write: bool,
     /// Close once `obuf` drains (protocol error or peer EOF).
     close_after_flush: bool,
-    /// Peer sent EOF on a clean frame boundary.
-    peer_closed: bool,
     /// Last time a complete frame arrived (idle-deadline clock:
     /// frames, not bytes, count as progress).
     last_frame: Instant,
@@ -283,13 +278,11 @@ impl Loop {
         self.conns[idx] = Some(Conn {
             stream,
             peer,
-            ibuf: Vec::new(),
-            start: 0,
+            frames: FrameDecoder::new(engine.config.max_frame),
             obuf: Vec::new(),
             osent: 0,
             want_write: false,
             close_after_flush: false,
-            peer_closed: false,
             last_frame: Instant::now(),
         });
     }
@@ -304,9 +297,6 @@ impl Loop {
         }
     }
 }
-
-/// How much to read per `read()` call while draining a socket.
-const READ_CHUNK: usize = 64 * 1024;
 
 fn event_loop(engine: &Engine, poller: Poller, mut role: Role) {
     let mut lp = Loop {
@@ -327,6 +317,7 @@ fn event_loop(engine: &Engine, poller: Poller, mut role: Role) {
         return;
     }
     let tick = engine.config.read_timeout;
+    let mut last_sweep = Instant::now();
     loop {
         if engine.stopping() {
             break;
@@ -352,9 +343,9 @@ fn event_loop(engine: &Engine, poller: Poller, mut role: Role) {
             }
             let idx = ev.token.0 - 1;
             // A slot freed earlier in this same batch can leave a
-            // stale event behind; with level-triggered readiness
-            // and drain-until-WouldBlock, skipping or spuriously
-            // servicing a reused slot are both harmless.
+            // stale event behind; with level-triggered readiness,
+            // skipping or spuriously servicing a reused slot are both
+            // harmless.
             let mut closed = false;
             if let Some(Some(conn)) = lp.conns.get_mut(idx) {
                 if ev.readable || ev.hangup {
@@ -370,14 +361,16 @@ fn event_loop(engine: &Engine, poller: Poller, mut role: Role) {
                 lp.close(engine, idx);
             }
         }
-        // Idle sweep: close connections that have gone too long
-        // without completing a frame. Dribbled bytes don't reset the
-        // clock — only whole frames do (slow-loris backstop).
-        if let Some(idle) = engine.config.idle_timeout {
+        // Idle sweep, once a tick: close connections that completed no
+        // frame for too long. Dribbled bytes don't reset the clock —
+        // only whole frames do (slow-loris backstop).
+        let idle = engine.config.idle_timeout;
+        if let Some(idle) = idle.filter(|_| last_sweep.elapsed() >= tick) {
+            last_sweep = Instant::now();
             for idx in 0..lp.conns.len() {
                 if lp.conns[idx]
                     .as_ref()
-                    .is_some_and(|c| c.last_frame.elapsed() >= idle)
+                    .is_some_and(|c| last_sweep.duration_since(c.last_frame) >= idle)
                 {
                     lp.close(engine, idx);
                 }
@@ -446,96 +439,73 @@ fn accept_ready(
     }
 }
 
-/// Drain the socket, dispatch every complete frame, queue responses.
-/// Returns `true` when the connection should be closed immediately.
+/// Read into the decoder and dispatch every frame each read
+/// completes, until a short read, EOF or `WouldBlock`. Returns `true`
+/// when the connection should be closed immediately.
 fn conn_readable(engine: &Engine, conn: &mut Conn) -> bool {
-    let m = &engine.metrics;
-    let mut chunk = [0u8; READ_CHUNK];
-    loop {
-        match conn.stream.read(&mut chunk) {
+    // Frames served this wakeup: the pipelining depth.
+    let mut depth = 0;
+    let close_now = loop {
+        let spare = conn.frames.spare();
+        let room = spare.len();
+        match conn.stream.read(spare) {
+            // EOF with a partial frame buffered: the peer vanished
+            // mid-frame.
+            Ok(0) if conn.frames.buffered() > 0 && !conn.close_after_flush => {
+                engine.metrics.disconnects_mid_frame.inc();
+                break true;
+            }
+            // EOF on a frame boundary: deliver queued responses, then
+            // close.
             Ok(0) => {
-                conn.peer_closed = true;
+                conn.close_after_flush = true;
+                break false;
+            }
+            Ok(n) => {
+                conn.frames.filled(n);
+                depth += serve_frames(engine, conn);
+                if n < room || conn.close_after_flush {
+                    break false;
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break false,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => break true,
+        }
+    };
+    engine.metrics.raise_pipelined_depth(depth);
+    close_now
+}
+
+/// Dispatch every complete buffered frame in arrival order and queue
+/// the responses; returns how many frames were served.
+fn serve_frames(engine: &Engine, conn: &mut Conn) -> i64 {
+    let m = &engine.metrics;
+    let mut served = 0;
+    // Drain contract: once stopping, dispatch nothing more; the
+    // shutdown path flushes what is already queued.
+    while !conn.close_after_flush && !engine.stopping() {
+        let frame = match conn.frames.next_frame() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => break,
+            Err(e) => {
+                // Answer with the reason, then close — the unread body
+                // defeats resync.
+                m.protocol_errors.inc();
+                queue_response(m, &mut conn.obuf, &err(ErrorCode::BadFrame, e.to_string()));
+                conn.close_after_flush = true;
                 break;
             }
-            Ok(n) => conn.ibuf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return true,
-        }
-    }
-
-    // Dispatch every complete frame in arrival order; this count is
-    // the pipelining depth of the drain.
-    let mut depth: i64 = 0;
-    while !conn.close_after_flush {
-        let avail = conn.ibuf.len() - conn.start;
-        if avail < 4 {
-            break;
-        }
-        let word = u32::from_le_bytes(
-            conn.ibuf[conn.start..conn.start + 4]
-                .try_into()
-                .expect("4-byte slice"),
-        );
-        // The trace flag is masked off before the size check, exactly
-        // as `FrameReader` does: a traced frame must not look
-        // oversized, and an untraced oversized frame must not look
-        // traced.
-        let traced = word & FLAG_TRACE != 0;
-        let len = word & !FLAG_TRACE;
-        if len > engine.config.max_frame {
-            // Answer with the reason, then close — the unread body
-            // defeats resync.
-            m.protocol_errors.inc();
-            queue_response(
-                engine,
-                conn,
-                &Response::Error {
-                    code: ErrorCode::BadFrame,
-                    message: format!(
-                        "frame length {len} exceeds limit {}",
-                        engine.config.max_frame
-                    ),
-                },
-            );
-            conn.close_after_flush = true;
-            break;
-        }
-        if traced && (len as usize) < TraceContext::WIRE_LEN {
-            m.protocol_errors.inc();
-            queue_response(
-                engine,
-                conn,
-                &Response::Error {
-                    code: ErrorCode::BadFrame,
-                    message: "traced frame shorter than its trace context".into(),
-                },
-            );
-            conn.close_after_flush = true;
-            break;
-        }
-        if avail < 4 + len as usize {
-            break; // partial frame: wait for more bytes
-        }
-        let frame_end = conn.start + 4 + len as usize;
-        // Strip the trace context off the front of the counted body;
-        // bytes_in counts the post-strip payload, the bytes `dispatch`
-        // sees.
-        let ctx = if traced {
-            TraceContext::decode(&conn.ibuf[conn.start + 4..frame_end])
-        } else {
-            None
         };
-        let payload_start = conn.start + 4 + if traced { TraceContext::WIRE_LEN } else { 0 };
+        // bytes_in counts the payload after the trace context is
+        // stripped: the bytes `dispatch` sees.
         m.frames_received.inc();
-        m.bytes_in.add((frame_end - payload_start) as u64);
+        m.bytes_in.add(frame.payload.len() as u64);
         let t0 = Instant::now();
-        let req_trace = telemetry::trace::begin("server:request", ctx);
-        // In-place dispatch: the payload slice borrows the inbound
-        // buffer directly.
-        let (resp, info) = dispatch(engine, &conn.ibuf[payload_start..frame_end]);
+        let req_trace = telemetry::trace::begin("server:request", frame.ctx);
+        let (resp, info) = dispatch(engine, frame.payload);
         let error = matches!(resp, Response::Error { .. });
-        queue_response(engine, conn, &resp);
+        queue_response(m, &mut conn.obuf, &resp);
         let dt = t0.elapsed();
         let slow = dt >= engine.config.slow_request_threshold;
         // Only a slow request reads (and, for an unsampled one,
@@ -547,57 +517,23 @@ fn conn_readable(engine: &Engine, conn: &mut Conn) -> bool {
             if slow { req_trace.trace_id() } else { 0 },
         );
         req_trace.finish_timed(dt, slow, error);
-        conn.start = frame_end;
-        conn.last_frame = Instant::now();
-        depth += 1;
-        if engine.stopping() {
-            // Drain contract: finish nothing more once stopping; the
-            // shutdown path flushes what is already queued.
-            break;
-        }
+        conn.last_frame = t0;
+        served += 1;
     }
-    if depth > 0 {
-        m.raise_pipelined_depth(depth);
-    }
-
-    // Compact the consumed prefix so the buffer doesn't grow without
-    // bound across drains.
-    if conn.start == conn.ibuf.len() {
-        conn.ibuf.clear();
-        conn.start = 0;
-    } else if conn.start > 4096 {
-        conn.ibuf.drain(..conn.start);
-        conn.start = 0;
-    }
-
-    if conn.peer_closed {
-        if conn.ibuf.len() - conn.start > 0 && !conn.close_after_flush {
-            // EOF with a partial frame buffered: the peer vanished
-            // mid-frame.
-            m.disconnects_mid_frame.inc();
-            return true;
-        }
-        // Clean boundary: deliver queued responses, then close.
-        conn.close_after_flush = true;
-    }
-    false
+    served
 }
 
-/// Serialize a response into the connection's outbound buffer and
-/// count it as sent (queueing into the kernel-bound buffer is this
-/// transport's "written": a peer that has read its answer sees it
-/// counted in STATS).
-fn queue_response(engine: &Engine, conn: &mut Conn, resp: &Response) {
-    let m = &engine.metrics;
+/// Encode a response as a frame at the end of the connection's
+/// outbound buffer and count it as sent (queueing into the
+/// kernel-bound buffer is this transport's "written": a peer that has
+/// read its answer sees it counted in STATS).
+fn queue_response(m: &ServerMetrics, obuf: &mut Vec<u8>, resp: &Response) {
     if matches!(resp, Response::Error { .. }) {
         m.error_responses.inc();
     }
-    let bytes = resp.encode();
-    conn.obuf
-        .extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    conn.obuf.extend_from_slice(&bytes);
+    let payload = encode_frame(obuf, None, |out| resp.encode_into(out));
     m.responses_sent.inc();
-    m.bytes_out.add(bytes.len() as u64);
+    m.bytes_out.add(payload as u64);
 }
 
 /// Write pending output until done or `WouldBlock`, managing the

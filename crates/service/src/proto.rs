@@ -3,12 +3,17 @@
 //! Every message on the wire is a *frame*:
 //!
 //! ```text
-//! +----------------+---------------------------+
-//! | u32 LE length  |  payload (length bytes)   |
-//! +----------------+---------------------------+
+//! +-------------------+----------------------------+-----------------+
+//! | u32 LE length     | trace context (17 bytes,   | payload         |
+//! | bit 31: traced    | only when bit 31 is set)   |                 |
+//! +-------------------+----------------------------+-----------------+
 //! ```
 //!
-//! and every payload begins with the same 12-byte header, encoded by
+//! The length counts the context and the payload. Client and server
+//! build frames with [`encode_frame`] and parse them with
+//! [`FrameDecoder`]; no other code knows this layout.
+//!
+//! Every payload begins with the same 12-byte header, encoded by
 //! `filter_core::serial`'s little-endian codec:
 //!
 //! ```text
@@ -25,7 +30,7 @@
 //! [`SerialError`]-checked decoding the persistence layer uses: a
 //! truncated or corrupt frame can produce an error response, never a
 //! panic or an over-read. Frame *lengths* are bounded before any
-//! allocation happens (see [`FrameReader`]), so an adversarial length
+//! allocation happens (see [`FrameDecoder`]), so an adversarial length
 //! prefix cannot balloon memory.
 
 use filter_core::{ByteReader, ByteWriter, SerialError};
@@ -183,6 +188,25 @@ const OP_SNAPSHOT: u32 = 8;
 const OP_FORGET: u32 = 9;
 const OP_MULTI_CONTAINS: u32 = 10;
 const OP_TRACES: u32 = 11;
+
+/// Name of a request opcode, as the slow log prints it; `BAD` for
+/// anything else, such as the 0 logged for an undecodable payload.
+pub(crate) fn op_name(op: u32) -> &'static str {
+    match op {
+        OP_CREATE => "CREATE",
+        OP_INSERT => "INSERT",
+        OP_CONTAINS => "CONTAINS",
+        OP_COUNT => "COUNT",
+        OP_DELETE => "DELETE",
+        OP_STATS => "STATS",
+        OP_METRICS => "METRICS",
+        OP_SNAPSHOT => "SNAPSHOT",
+        OP_FORGET => "FORGET",
+        OP_MULTI_CONTAINS => "MULTI_CONTAINS",
+        OP_TRACES => "TRACES",
+        _ => "BAD",
+    }
+}
 
 // Response opcodes (high range).
 const OP_OK: u32 = 128;
@@ -403,9 +427,35 @@ fn take_bools(r: &mut ByteReader<'_>) -> Result<Vec<bool>, SerialError> {
 }
 
 impl Request {
+    /// The request's wire opcode.
+    pub(crate) fn opcode(&self) -> u32 {
+        match self {
+            Request::Create { .. } => OP_CREATE,
+            Request::Insert { .. } => OP_INSERT,
+            Request::Contains { .. } => OP_CONTAINS,
+            Request::Count { .. } => OP_COUNT,
+            Request::Delete { .. } => OP_DELETE,
+            Request::Stats => OP_STATS,
+            Request::Metrics => OP_METRICS,
+            Request::Snapshot { .. } => OP_SNAPSHOT,
+            Request::Forget { .. } => OP_FORGET,
+            Request::MultiContains { .. } => OP_MULTI_CONTAINS,
+            Request::Traces { .. } => OP_TRACES,
+        }
+    }
+
     /// Encode into a frame payload (header + body, no length prefix).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the frame payload (header + body, no length prefix) to
+    /// `out`; [`encode_frame`] wraps it in a frame in place.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut w = ByteWriter::with_buffer(std::mem::take(out));
+        put_header(&mut w, self.opcode());
         match self {
             Request::Create {
                 name,
@@ -416,7 +466,6 @@ impl Request {
                 seed,
                 blob,
             } => {
-                put_header(&mut w, OP_CREATE);
                 put_name(&mut w, name);
                 w.put_u32(backend.to_u32());
                 w.put_u64(*capacity);
@@ -425,46 +474,19 @@ impl Request {
                 w.put_u64(*seed);
                 w.put_bytes(blob);
             }
-            Request::Insert { name, keys } => {
-                put_header(&mut w, OP_INSERT);
+            Request::Insert { name, keys }
+            | Request::Contains { name, keys }
+            | Request::Count { name, keys }
+            | Request::Delete { name, keys } => {
                 put_name(&mut w, name);
                 w.put_u64_slice(keys);
             }
-            Request::Contains { name, keys } => {
-                put_header(&mut w, OP_CONTAINS);
-                put_name(&mut w, name);
-                w.put_u64_slice(keys);
-            }
-            Request::Count { name, keys } => {
-                put_header(&mut w, OP_COUNT);
-                put_name(&mut w, name);
-                w.put_u64_slice(keys);
-            }
-            Request::Delete { name, keys } => {
-                put_header(&mut w, OP_DELETE);
-                put_name(&mut w, name);
-                w.put_u64_slice(keys);
-            }
-            Request::Stats => put_header(&mut w, OP_STATS),
-            Request::Metrics => put_header(&mut w, OP_METRICS),
-            Request::Snapshot { name } => {
-                put_header(&mut w, OP_SNAPSHOT);
-                put_name(&mut w, name);
-            }
-            Request::Forget { name } => {
-                put_header(&mut w, OP_FORGET);
-                put_name(&mut w, name);
-            }
-            Request::MultiContains { keys } => {
-                put_header(&mut w, OP_MULTI_CONTAINS);
-                w.put_u64_slice(keys);
-            }
-            Request::Traces { json } => {
-                put_header(&mut w, OP_TRACES);
-                w.put_u32(u32::from(*json));
-            }
+            Request::Stats | Request::Metrics => {}
+            Request::Snapshot { name } | Request::Forget { name } => put_name(&mut w, name),
+            Request::MultiContains { keys } => w.put_u64_slice(keys),
+            Request::Traces { json } => w.put_u32(u32::from(*json)),
         }
-        w.into_bytes()
+        *out = w.into_bytes();
     }
 
     /// Decode a frame payload. Distinguishes version mismatch from
@@ -533,7 +555,15 @@ impl Request {
 impl Response {
     /// Encode into a frame payload (header + body, no length prefix).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the frame payload (header + body, no length prefix) to
+    /// `out`; [`encode_frame`] wraps it in a frame in place.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut w = ByteWriter::with_buffer(std::mem::take(out));
         match self {
             Response::Ok => put_header(&mut w, OP_OK),
             Response::Bools(bools) => {
@@ -584,7 +614,7 @@ impl Response {
                 }
             }
         }
-        w.into_bytes()
+        *out = w.into_bytes();
     }
 
     /// Decode a frame payload.
@@ -702,32 +732,182 @@ fn take_span(r: &mut ByteReader<'_>) -> Result<SpanRecord, SerialError> {
     })
 }
 
-/// Write one frame: `u32` LE payload length, then the payload.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+/// Bytes in a frame's length word.
+const LEN_WORD: usize = 4;
+
+/// The smallest read a [`FrameDecoder`] offers: room for a burst of
+/// pipelined frames, or a batch of ~2,000 keys, in one `read`.
+const MIN_SPARE: usize = 16 * 1024;
+
+/// Append one frame to `out`: the length word, the trace context when
+/// `ctx` is set, then the payload `encode` appends. The length word is
+/// patched in once the payload is written, so the frame is built in
+/// place, with no payload buffer of its own, and can leave in one
+/// `write`. Returns the payload's length.
+pub fn encode_frame(
+    out: &mut Vec<u8>,
+    ctx: Option<&TraceContext>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0; LEN_WORD]);
+    if let Some(c) = ctx {
+        out.extend_from_slice(&c.encode());
+    }
+    let payload_at = out.len();
+    encode(out);
+    let word = (out.len() - at - LEN_WORD) as u32 | ctx.map_or(0, |_| FLAG_TRACE);
+    out[at..at + LEN_WORD].copy_from_slice(&word.to_le_bytes());
+    out.len() - payload_at
 }
 
-/// Write one frame, optionally carrying a trace context. With
-/// `ctx: None` the bytes produced are identical to [`write_frame`] —
-/// an untraced request adds zero wire bytes. With `Some`, the length
-/// word gets [`FLAG_TRACE`] and the counted body is the 17-byte
-/// context followed by the payload.
+/// Write one untraced frame in a single `write`.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    write_frame_traced(w, payload, None)
+}
+
+/// Write one frame, optionally carrying a trace context, in a single
+/// `write`. With `ctx: None` the bytes produced are identical to
+/// [`write_frame`] — an untraced request adds zero wire bytes. With
+/// `Some`, the length word gets [`FLAG_TRACE`] and the counted body is
+/// the 17-byte context followed by the payload.
 pub fn write_frame_traced(
     w: &mut impl Write,
     payload: &[u8],
     ctx: Option<&TraceContext>,
 ) -> io::Result<()> {
-    match ctx {
-        None => write_frame(w, payload),
-        Some(c) => {
-            let len = (TraceContext::WIRE_LEN + payload.len()) as u32 | FLAG_TRACE;
-            w.write_all(&len.to_le_bytes())?;
-            w.write_all(&c.encode())?;
-            w.write_all(payload)?;
-            w.flush()
+    let mut frame = Vec::with_capacity(LEN_WORD + TraceContext::WIRE_LEN + payload.len());
+    encode_frame(&mut frame, ctx, |out| out.extend_from_slice(payload));
+    w.write_all(&frame)?;
+    w.flush()
+}
+
+/// One frame cut from a [`FrameDecoder`]'s buffer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Frame<'a> {
+    /// The payload, with the trace context already stripped.
+    pub payload: &'a [u8],
+    /// The trace context the frame carried, if any.
+    pub ctx: Option<TraceContext>,
+}
+
+/// Why a [`FrameDecoder`] refused a length word. The announced body
+/// stays unread, so the stream cannot be resynchronised: every later
+/// call reports the same error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameDecodeError {
+    /// The length word announces more than the decoder's `max_frame`:
+    /// the announced length (trace flag masked off), then the limit.
+    Oversized(u32, u32),
+    /// A traced frame's body is shorter than its 17-byte trace context.
+    ShortTraceContext,
+}
+
+impl std::fmt::Display for FrameDecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Oversized(len, max) => write!(f, "frame length {len} exceeds limit {max}"),
+            Self::ShortTraceContext => write!(f, "traced frame shorter than its trace context"),
         }
+    }
+}
+
+impl std::error::Error for FrameDecodeError {}
+
+/// The frame grammar without I/O: read bytes into
+/// [`spare`](Self::spare), count them with [`filled`](Self::filled),
+/// then take complete frames, borrowed from the buffer, from
+/// [`next_frame`](Self::next_frame). A length word is checked before
+/// anything is reserved for its body, and toward a long frame the
+/// buffer at most doubles per read: memory follows the bytes a peer
+/// has sent, not the length it claims.
+#[derive(Debug)]
+pub struct FrameDecoder {
+    buf: Vec<u8>,
+    /// `buf[start..end]` is received and not yet returned as a frame;
+    /// `buf[end..]` is the spare space.
+    start: usize,
+    end: usize,
+    max_frame: u32,
+}
+
+impl FrameDecoder {
+    /// An empty decoder refusing bodies longer than `max_frame`.
+    pub fn new(max_frame: u32) -> FrameDecoder {
+        FrameDecoder {
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+            max_frame,
+        }
+    }
+
+    /// The next frame's body length and trace flag, once its length
+    /// word is buffered.
+    fn head(&self) -> Result<Option<(usize, bool)>, FrameDecodeError> {
+        let Some(word) = self.buf[self.start..self.end].first_chunk::<LEN_WORD>() else {
+            return Ok(None);
+        };
+        let word = u32::from_le_bytes(*word);
+        // Mask the flag before the size check: a traced frame must not
+        // look oversized, nor an untraced oversized one look traced.
+        let traced = word & FLAG_TRACE != 0;
+        let len = word & !FLAG_TRACE;
+        if len > self.max_frame {
+            return Err(FrameDecodeError::Oversized(len, self.max_frame));
+        }
+        if traced && (len as usize) < TraceContext::WIRE_LEN {
+            return Err(FrameDecodeError::ShortTraceContext);
+        }
+        Ok(Some((len as usize, traced)))
+    }
+
+    /// Space to read into: at least 16 KiB, and more while a longer
+    /// frame is arriving — up to the rest of that frame, but never more
+    /// than is already held. What is held moves to the front when it
+    /// is empty or the tail runs short.
+    pub fn spare(&mut self) -> &mut [u8] {
+        let held = self.end - self.start;
+        let missing = match self.head() {
+            Ok(Some((len, _))) => (LEN_WORD + len).saturating_sub(held),
+            _ => 0,
+        };
+        let want = missing.min(held).max(MIN_SPARE);
+        if held == 0 || self.buf.len() - self.end < want {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, held);
+            if self.buf.len() < held + want {
+                self.buf.resize(held + want, 0);
+            }
+        }
+        &mut self.buf[self.end..]
+    }
+
+    /// Count `n` bytes just read into the front of
+    /// [`spare`](Self::spare).
+    pub fn filled(&mut self, n: usize) {
+        assert!(n <= self.buf.len() - self.end, "filled past the spare");
+        self.end += n;
+    }
+
+    /// Bytes received and not yet returned in a frame: a partial frame
+    /// when the stream ends here.
+    pub fn buffered(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// Cut the next complete frame, or `Ok(None)` until one is fully
+    /// buffered.
+    pub fn next_frame(&mut self) -> Result<Option<Frame<'_>>, FrameDecodeError> {
+        let body = self.start + LEN_WORD;
+        let Some((len, traced)) = self.head()?.filter(|&(len, _)| body + len <= self.end) else {
+            return Ok(None);
+        };
+        self.start = body + len;
+        let ctx_len = if traced { TraceContext::WIRE_LEN } else { 0 };
+        let (ctx, payload) = self.buf[body..self.start].split_at(ctx_len);
+        let ctx = TraceContext::decode(ctx);
+        Ok(Some(Frame { payload, ctx }))
     }
 }
 
@@ -745,12 +925,11 @@ pub enum FrameEvent {
 #[derive(Debug)]
 pub enum FrameError {
     /// The read timed out mid-wait; partial progress is retained and
-    /// the call can simply be retried (the server uses this tick to
-    /// poll its shutdown flag).
+    /// the call can simply be retried.
     Timeout,
-    /// The length prefix exceeds the configured maximum. Nothing
-    /// beyond the prefix was read or allocated.
-    Oversized(u32),
+    /// The decoder refused a length word. Nothing was reserved for
+    /// its body.
+    Refused(FrameDecodeError),
     /// EOF in the middle of a frame: the peer disconnected mid-write.
     Disconnected,
     /// Any other transport error.
@@ -761,7 +940,7 @@ impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FrameError::Timeout => write!(f, "read timed out"),
-            FrameError::Oversized(n) => write!(f, "frame length {n} exceeds limit"),
+            FrameError::Refused(e) => write!(f, "{e}"),
             FrameError::Disconnected => write!(f, "peer disconnected mid-frame"),
             FrameError::Io(e) => write!(f, "transport error: {e}"),
         }
@@ -770,25 +949,15 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-enum ReadState {
-    Head,
-    Body,
-}
-
-/// Incremental frame reader that survives read timeouts.
+/// A blocking [`FrameDecoder`] pump over a byte stream.
 ///
-/// Progress is buffered across calls: a timeout mid-length-prefix or
-/// mid-body returns [`FrameError::Timeout`] without losing the bytes
-/// already consumed, so a server can use short read timeouts as a
-/// shutdown-polling tick without corrupting the stream position.
+/// Progress is buffered across calls: a timeout mid-frame returns
+/// [`FrameError::Timeout`] without losing the bytes already read, so
+/// a caller can use short read timeouts as a polling tick without
+/// corrupting the stream position.
 pub struct FrameReader<R> {
     inner: R,
-    max_frame: u32,
-    state: ReadState,
-    head: [u8; 4],
-    got: usize,
-    body: Vec<u8>,
-    traced: bool,
+    frames: FrameDecoder,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -797,76 +966,40 @@ impl<R: Read> FrameReader<R> {
     pub fn new(inner: R, max_frame: u32) -> Self {
         FrameReader {
             inner,
-            max_frame,
-            state: ReadState::Head,
-            head: [0; 4],
-            got: 0,
-            body: Vec::new(),
-            traced: false,
+            frames: FrameDecoder::new(max_frame),
         }
     }
 
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &R {
-        &self.inner
+    /// The wrapped stream (a client writes its requests to the stream
+    /// it reads answers from).
+    pub(crate) fn get_mut(&mut self) -> &mut R {
+        &mut self.inner
+    }
+
+    /// Read until one full frame, then hand it to `f` borrowed from
+    /// the buffer; `Ok(None)` on EOF between frames.
+    pub(crate) fn read_with<T>(
+        &mut self,
+        f: impl FnOnce(Frame<'_>) -> T,
+    ) -> Result<Option<T>, FrameError> {
+        loop {
+            if let Some(frame) = self.frames.next_frame().map_err(FrameError::Refused)? {
+                return Ok(Some(f(frame)));
+            }
+            match self.inner.read(self.frames.spare()) {
+                Ok(0) if self.frames.buffered() == 0 => return Ok(None),
+                Ok(0) => return Err(FrameError::Disconnected),
+                Ok(n) => self.frames.filled(n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(classify(e)),
+            }
+        }
     }
 
     /// Read until one full frame, clean EOF, timeout, or error.
     pub fn read_frame(&mut self) -> Result<FrameEvent, FrameError> {
-        loop {
-            match self.state {
-                ReadState::Head => {
-                    while self.got < 4 {
-                        match self.inner.read(&mut self.head[self.got..]) {
-                            Ok(0) if self.got == 0 => return Ok(FrameEvent::Closed),
-                            Ok(0) => return Err(FrameError::Disconnected),
-                            Ok(n) => self.got += n,
-                            Err(e) => return Err(classify(e)),
-                        }
-                    }
-                    let word = u32::from_le_bytes(self.head);
-                    self.traced = word & FLAG_TRACE != 0;
-                    let len = word & !FLAG_TRACE;
-                    if len > self.max_frame {
-                        // Reset so the caller could in principle keep
-                        // going, though the server closes here: the
-                        // unread body makes resync impossible.
-                        self.got = 0;
-                        return Err(FrameError::Oversized(len));
-                    }
-                    if self.traced && (len as usize) < TraceContext::WIRE_LEN {
-                        self.got = 0;
-                        return Err(FrameError::Io(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "traced frame shorter than its trace context",
-                        )));
-                    }
-                    self.body = vec![0; len as usize];
-                    self.got = 0;
-                    self.state = ReadState::Body;
-                }
-                ReadState::Body => {
-                    while self.got < self.body.len() {
-                        match self.inner.read(&mut self.body[self.got..]) {
-                            Ok(0) => return Err(FrameError::Disconnected),
-                            Ok(n) => self.got += n,
-                            Err(e) => return Err(classify(e)),
-                        }
-                    }
-                    self.state = ReadState::Head;
-                    self.got = 0;
-                    let mut body = std::mem::take(&mut self.body);
-                    let ctx = if self.traced {
-                        let c = TraceContext::decode(&body);
-                        body.drain(..TraceContext::WIRE_LEN);
-                        c
-                    } else {
-                        None
-                    };
-                    return Ok(FrameEvent::Frame(body, ctx));
-                }
-            }
-        }
+        let frame = self.read_with(|f| FrameEvent::Frame(f.payload.to_vec(), f.ctx))?;
+        Ok(frame.unwrap_or(FrameEvent::Closed))
     }
 }
 
@@ -1034,103 +1167,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_reader_reassembles_split_writes() {
-        // Feed a frame one byte at a time through a reader that
-        // returns each byte in its own read() call.
-        struct OneByte(Vec<u8>, usize);
-        impl Read for OneByte {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                if self.1 >= self.0.len() {
-                    return Ok(0);
-                }
-                buf[0] = self.0[self.1];
-                self.1 += 1;
-                Ok(1)
-            }
-        }
-        let payload = Request::Stats.encode();
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
-        write_frame(&mut wire, &payload).unwrap();
-        let mut fr = FrameReader::new(OneByte(wire, 0), DEFAULT_MAX_FRAME);
-        for _ in 0..2 {
-            match fr.read_frame().unwrap() {
-                FrameEvent::Frame(p, ctx) => {
-                    assert_eq!(p, payload);
-                    assert_eq!(ctx, None);
-                }
-                FrameEvent::Closed => panic!("premature close"),
-            }
-        }
-        assert!(matches!(fr.read_frame().unwrap(), FrameEvent::Closed));
-    }
-
-    #[test]
-    fn untraced_frames_add_zero_wire_bytes() {
-        // write_frame_traced(.., None) must be byte-identical to the
-        // pre-trace wire format: tracing costs nothing unless a
-        // context is attached.
-        let payload = Request::Contains {
-            name: "f".into(),
-            keys: vec![1, 2, 3],
-        }
-        .encode();
-        let mut plain = Vec::new();
-        write_frame(&mut plain, &payload).unwrap();
-        let mut traced_none = Vec::new();
-        write_frame_traced(&mut traced_none, &payload, None).unwrap();
-        assert_eq!(plain, traced_none);
-    }
-
-    #[test]
-    fn trace_context_rides_the_frame_and_is_stripped() {
-        let payload = Request::Stats.encode();
-        let ctx = TraceContext {
-            trace_id: 0xdead_beef_0bad_cafe,
-            span_id: 0x1234_5678_9abc_def0,
-            flags: telemetry::trace::FLAG_FORCED,
-        };
-        let mut wire = Vec::new();
-        write_frame_traced(&mut wire, &payload, Some(&ctx)).unwrap();
-        // The traced frame is exactly 17 bytes longer than the plain
-        // one and has the flag bit set in its length word.
-        let mut plain = Vec::new();
-        write_frame(&mut plain, &payload).unwrap();
-        assert_eq!(wire.len(), plain.len() + TraceContext::WIRE_LEN);
-        let word = u32::from_le_bytes(wire[..4].try_into().unwrap());
-        assert_ne!(word & FLAG_TRACE, 0);
-        // An interleaved untraced frame on the same stream still
-        // parses: the flag is per-frame.
-        write_frame(&mut wire, &payload).unwrap();
-        let mut fr = FrameReader::new(&wire[..], DEFAULT_MAX_FRAME);
-        match fr.read_frame().unwrap() {
-            FrameEvent::Frame(p, got) => {
-                assert_eq!(p, payload);
-                assert_eq!(got, Some(ctx));
-            }
-            FrameEvent::Closed => panic!("premature close"),
-        }
-        match fr.read_frame().unwrap() {
-            FrameEvent::Frame(p, got) => {
-                assert_eq!(p, payload);
-                assert_eq!(got, None);
-            }
-            FrameEvent::Closed => panic!("premature close"),
-        }
-        assert!(matches!(fr.read_frame().unwrap(), FrameEvent::Closed));
-    }
-
-    #[test]
-    fn traced_frame_shorter_than_context_is_rejected() {
-        // Flag bit set but only 5 body bytes: structurally invalid.
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&(5u32 | FLAG_TRACE).to_le_bytes());
-        wire.extend_from_slice(&[0u8; 5]);
-        let mut fr = FrameReader::new(&wire[..], DEFAULT_MAX_FRAME);
-        assert!(matches!(fr.read_frame(), Err(FrameError::Io(_))));
-    }
-
-    #[test]
     fn traces_response_roundtrips_and_rejects_truncation() {
         let span = |i: u64| SpanRecord {
             trace_id: 7,
@@ -1168,34 +1204,5 @@ mod tests {
         let mut bad = bytes.clone();
         bad[28] = 0xff;
         assert!(Response::decode(&bad).is_err());
-    }
-
-    #[test]
-    fn frame_reader_rejects_oversized_prefix_without_allocating() {
-        // An all-ones length word reads as trace flag + 2^31-1 body
-        // bytes; the reported length is the masked size.
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&u32::MAX.to_le_bytes());
-        wire.extend_from_slice(&[0u8; 16]);
-        let mut fr = FrameReader::new(&wire[..], 1024);
-        assert!(matches!(
-            fr.read_frame(),
-            Err(FrameError::Oversized(n)) if n == !FLAG_TRACE
-        ));
-        // An untraced oversized prefix reports its length verbatim.
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&2048u32.to_le_bytes());
-        let mut fr = FrameReader::new(&wire[..], 1024);
-        assert!(matches!(fr.read_frame(), Err(FrameError::Oversized(2048))));
-    }
-
-    #[test]
-    fn frame_reader_flags_mid_frame_disconnect() {
-        let payload = Request::Stats.encode();
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
-        wire.truncate(wire.len() - 3); // peer died mid-frame
-        let mut fr = FrameReader::new(&wire[..], DEFAULT_MAX_FRAME);
-        assert!(matches!(fr.read_frame(), Err(FrameError::Disconnected)));
     }
 }

@@ -1,6 +1,8 @@
 //! Persistence round-trips: filters written beside immutable runs
 //! must reload with identical behaviour.
 
+mod common;
+
 use beyond_bloom::core::{Filter, InsertFilter};
 use beyond_bloom::workloads::{disjoint_keys, unique_keys};
 
@@ -273,49 +275,12 @@ fn cuckoo_and_cqf_corrupt_bytes_rejected() {
     assert!(beyond_bloom::quotient::CountingQuotientFilter::from_bytes(&forged).is_err());
 }
 
-/// Mutants of a snapshot blob: every bit flip and every 4-aligned
-/// u32/u64 overwrite with an edge value in the first 72 bytes (the
-/// header fields of every backend, and of the shard envelope and its
-/// first shard), then `random` seeded bit flips, truncations and
-/// overwrites anywhere.
-fn mutants(bytes: &[u8], random: usize, rng: &mut rand::rngs::StdRng) -> Vec<Vec<u8>> {
-    use rand::Rng;
-    const U32S: [u32; 6] = [0, 1, 0xff, 0x6800_0000, 0x7fff_ffff, u32::MAX];
-    const U64S: [u64; 6] = [0, 1, 1 << 24, 1 << 40, 1 << 62, u64::MAX];
-    let put = |at: usize, field: &[u8]| {
-        let mut b = bytes.to_vec();
-        let end = (at + field.len()).min(b.len());
-        b[at..end].copy_from_slice(&field[..end - at]);
-        b
-    };
-    let flip = |bit: usize| {
-        let mut b = bytes.to_vec();
-        b[bit / 8] ^= 1 << (bit % 8);
-        b
-    };
-    let head = bytes.len().min(72);
-    let mut out: Vec<Vec<u8>> = (0..head * 8).map(flip).collect();
-    for at in (0..head).step_by(4) {
-        out.extend(U32S.iter().map(|v| put(at, &v.to_le_bytes())));
-        out.extend(U64S.iter().map(|v| put(at, &v.to_le_bytes())));
-    }
-    for _ in 0..random {
-        let at = rng.gen_range(0..bytes.len());
-        out.push(match rng.gen_range(0..4u32) {
-            0 => flip(at * 8 + rng.gen_range(0..8usize)),
-            1 => bytes[..at].to_vec(),
-            2 => put(at, &rng.gen::<u32>().to_le_bytes()),
-            _ => put(at, &rng.gen::<u64>().to_le_bytes()),
-        });
-    }
-    out
-}
-
-/// Hostile SNAPSHOT blobs through the engine: [`mutants`] of every
+/// Hostile SNAPSHOT blobs through the engine: [`common::mutants`] of every
 /// backend's snapshot, sent as blob-CREATEs through
 /// `engine::dispatch`. Each must be refused with a `Filter` error, or
-/// yield a filter that can be probed, inserted into and forgotten:
-/// never a panic, never an abort.
+/// yield a filter that can be probed, counted, deleted from, listed
+/// by STATS and METRICS, inserted into and forgotten: never a panic,
+/// never an abort.
 #[test]
 fn mutated_snapshot_blobs_never_panic_the_engine() {
     use beyond_bloom::service::engine::{dispatch, Engine};
@@ -354,7 +319,10 @@ fn mutated_snapshot_blobs_never_panic_the_engine() {
         let Response::Blob { bytes, .. } = call(Request::Snapshot { name: source }) else {
             panic!("{backend:?}: SNAPSHOT failed");
         };
-        for (m, blob) in mutants(&bytes, 400, &mut rng).into_iter().enumerate() {
+        for (m, blob) in common::mutants(&bytes, 400, &mut rng)
+            .into_iter()
+            .enumerate()
+        {
             let name = format!("m-{i}-{m}");
             match call(create(&name, blob)) {
                 Response::Ok => {
@@ -364,6 +332,16 @@ fn mutated_snapshot_blobs_never_panic_the_engine() {
                         name: name.clone(),
                         keys: probe.clone(),
                     });
+                    let _ = call(Request::Count {
+                        name: name.clone(),
+                        keys: probe.clone(),
+                    });
+                    let _ = call(Request::Delete {
+                        name: name.clone(),
+                        keys: probe.clone(),
+                    });
+                    let _ = call(Request::Stats);
+                    let _ = call(Request::Metrics);
                     let _ = call(Request::Insert {
                         name: name.clone(),
                         keys: fresh,
