@@ -20,8 +20,12 @@
 //! every key inserted into it since its slot was taken**, and a free
 //! slot's column and saturated bit are zero. So a probe can miss no
 //! tenant whose filter holds the key, and names only live tenants.
-//! A probe reads `8 · ⌈N/64⌉` words per key. See DESIGN.md,
-//! "Multi-tenant filter index".
+//! A probe reads `8 · ⌈N/64⌉` words per key.
+//!
+//! Each slot carries a payload `T` beside its name. A server stores
+//! the filter itself there, so the index doubles as its filter table
+//! and a candidate slot leads straight to the filter that confirms it.
+//! See DESIGN.md, "Multi-tenant filter index".
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -53,12 +57,11 @@ pub fn register_metrics() {
     CANDIDATES.register();
 }
 
-/// The bit-sliced tenant matrix. Slot bookkeeping and every store
-/// that clears bits need `&mut self`; key inserts and probes run
-/// concurrently under `&self` (the service wraps the index in the
-/// same `RwLock` discipline as its registry).
-#[derive(Default)]
-pub struct BloofiIndex {
+/// The bit-sliced tenant matrix, with a payload `T` per tenant. Slot
+/// bookkeeping and every store that clears bits need `&mut self`; key
+/// inserts and probes run concurrently under `&self` (the service
+/// keeps the index behind one `RwLock`).
+pub struct BloofiIndex<T = ()> {
     /// Words per row: slots `0..stride * 64` have a column.
     stride: usize,
     /// Row `r` is words `[r * stride, (r + 1) * stride)`; slot `t` is
@@ -66,11 +69,24 @@ pub struct BloofiIndex {
     rows: Vec<AtomicU64>,
     /// Saturated slots, `stride` words.
     saturated: Vec<u64>,
-    /// Filter name per slot, `None` while the slot is free.
-    names: Vec<Option<String>>,
+    /// Filter name and payload per slot, `None` while the slot is free.
+    tenants: Vec<Option<(String, T)>>,
     slots: BTreeMap<String, u32>,
-    /// Free slots below `names.len()`, reused lowest first.
+    /// Free slots below `tenants.len()`, reused lowest first.
     free: BTreeSet<u32>,
+}
+
+impl<T> Default for BloofiIndex<T> {
+    fn default() -> Self {
+        BloofiIndex {
+            stride: 0,
+            rows: Vec::new(),
+            saturated: Vec::new(),
+            tenants: Vec::new(),
+            slots: BTreeMap::new(),
+            free: BTreeSet::new(),
+        }
+    }
 }
 
 /// The 8 rows (summary bit positions) a key maps to.
@@ -94,29 +110,30 @@ fn word_bit(slot: u32) -> (usize, u64) {
     (slot as usize / 64, 1 << (slot % 64))
 }
 
-impl BloofiIndex {
+impl<T> BloofiIndex<T> {
     /// An empty index.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Index a new filter with an empty column in the lowest free
-    /// slot (keys arrive via [`insert_keys`](Self::insert_keys)).
-    /// Returns `false` if the name is already indexed.
-    pub fn add_filter(&mut self, name: &str) -> bool {
+    /// Index a new filter, carrying `payload`, with an empty column in
+    /// the lowest free slot (keys arrive via
+    /// [`insert_keys`](Self::insert_keys)). Returns `false`, dropping
+    /// `payload`, if the name is already indexed.
+    pub fn add_filter(&mut self, name: &str, payload: T) -> bool {
         if self.slots.contains_key(name) {
             return false;
         }
         let slot = self.free.pop_first().unwrap_or_else(|| {
-            self.names.push(None);
-            u32::try_from(self.names.len() - 1).expect("slot id fits u32")
+            self.tenants.push(None);
+            u32::try_from(self.tenants.len() - 1).expect("slot id fits u32")
         });
         if slot as usize >= self.stride * 64 {
             // A quarter more words (at least one): geometric, so the
             // moves stay linear overall, with at most 25% idle columns.
             self.grow(self.stride + (self.stride / 4).max(1));
         }
-        self.names[slot as usize] = Some(name.to_string());
+        self.tenants[slot as usize] = Some((name.to_string(), payload));
         self.slots.insert(name.to_string(), slot);
         true
     }
@@ -143,20 +160,19 @@ impl BloofiIndex {
     }
 
     /// Drop a filter from the index: clear its column and saturated
-    /// bit so the slot can be reused. Returns `false` if the name was
-    /// not indexed.
-    pub fn remove_filter(&mut self, name: &str) -> bool {
-        let Some(slot) = self.slots.remove(name) else {
-            return false;
-        };
+    /// bit so the slot can be reused. Returns its payload, or `None`
+    /// if the name was not indexed.
+    pub fn remove_filter(&mut self, name: &str) -> Option<T> {
+        let slot = self.slots.remove(name)?;
         let (w, bit) = word_bit(slot);
         for row in 0..ROWS {
             *self.rows[row * self.stride + w].get_mut() &= !bit;
         }
         self.saturated[w] &= !bit;
-        self.names[slot as usize] = None;
         self.free.insert(slot);
-        true
+        self.tenants[slot as usize]
+            .take()
+            .map(|(_, payload)| payload)
     }
 
     /// Make the named filter a candidate for every key: used when its
@@ -171,9 +187,15 @@ impl BloofiIndex {
         true
     }
 
+    /// The named filter's payload, or `None` if it is not indexed.
+    pub fn get(&self, name: &str) -> Option<&T> {
+        self.slots.get(name).map(|&slot| self.tenant(slot).1)
+    }
+
     /// Set each key's 8 row bits in the named filter's column, safe
-    /// under a shared borrow concurrently with probes. Returns
-    /// `false` if the filter is not indexed.
+    /// under a shared borrow concurrently with probes. Returns the
+    /// filter's payload, or `None` if it is not indexed: one name
+    /// lookup serves both the column and the filter insert.
     ///
     /// A word that already holds the bit is skipped, not `fetch_or`ed
     /// (on a busy index nearly all are). The skip is as good as the
@@ -186,10 +208,8 @@ impl BloofiIndex {
     ///   modification order, holds the bit too.
     /// - Read-read coherence: a load that happens after this load
     ///   reads that value or a later one.
-    pub fn insert_keys(&self, name: &str, keys: &[u64]) -> bool {
-        let Some(&slot) = self.slots.get(name) else {
-            return false;
-        };
+    pub fn insert_keys(&self, name: &str, keys: &[u64]) -> Option<&T> {
+        let slot = *self.slots.get(name)?;
         let (w, bit) = word_bit(slot);
         for &key in keys {
             for row in rows_for(key) {
@@ -199,13 +219,12 @@ impl BloofiIndex {
                 }
             }
         }
-        true
+        Some(self.tenant(slot).1)
     }
 
     /// Which slots might contain each key of a (≤ 32-key) chunk?
     /// `out` is reset to one `Vec` of candidate slot ids per key, in
-    /// ascending order (resolve names with
-    /// [`leaf_name`](Self::leaf_name)).
+    /// ascending order (resolve them with [`tenant`](Self::tenant)).
     pub fn multi_contains_chunk(&self, keys: &[u64], out: &mut Vec<Vec<u32>>) {
         let scan_sp = telemetry::trace::span("bloofi:scan");
         out.resize_with(keys.len(), Vec::new);
@@ -227,16 +246,17 @@ impl BloofiIndex {
         scan_sp.annotate(self.len() as u64, (keys.len() * 8 * self.stride) as u64);
     }
 
-    /// The filter name a candidate slot id stands for.
-    pub fn leaf_name(&self, id: u32) -> &str {
-        self.names[id as usize]
-            .as_deref()
-            .expect("candidate ids are live slots")
+    /// The filter name and payload in a live slot (a candidate id).
+    pub fn tenant(&self, slot: u32) -> (&str, &T) {
+        let (name, payload) = self.tenants[slot as usize]
+            .as_ref()
+            .expect("candidate ids are live slots");
+        (name, payload)
     }
 
-    /// Is this filter indexed?
-    pub fn contains_filter(&self, name: &str) -> bool {
-        self.slots.contains_key(name)
+    /// Every indexed filter's name and payload, in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &T)> {
+        self.slots.values().map(|&slot| self.tenant(slot))
     }
 
     /// Indexed filter count.
@@ -254,10 +274,11 @@ impl BloofiIndex {
         self.saturated.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Heap footprint of the matrix plus slot bookkeeping.
+    /// Heap footprint of the matrix plus slot bookkeeping (a payload
+    /// counts its inline size only).
     pub fn size_in_bytes(&self) -> usize {
         (self.rows.len() + self.saturated.len()) * 8
-            + self.names.capacity() * std::mem::size_of::<Option<String>>()
+            + self.tenants.capacity() * std::mem::size_of::<Option<(String, T)>>()
             + self
                 .slots
                 .keys()
@@ -270,17 +291,17 @@ impl BloofiIndex {
 mod tests {
     use super::*;
 
-    fn names(idx: &BloofiIndex, key: u64) -> Vec<String> {
+    fn names<T>(idx: &BloofiIndex<T>, key: u64) -> Vec<String> {
         let mut out = Vec::new();
         idx.multi_contains_chunk(&[key], &mut out);
-        let mut v: Vec<String> = out[0].iter().map(|&i| idx.leaf_name(i).into()).collect();
+        let mut v: Vec<String> = out[0].iter().map(|&i| idx.tenant(i).0.into()).collect();
         v.sort();
         v
     }
 
     #[test]
     fn empty_index_answers_nothing() {
-        let idx = BloofiIndex::new();
+        let idx: BloofiIndex = BloofiIndex::new();
         assert!(idx.is_empty());
         assert!(names(&idx, 42).is_empty());
     }
@@ -289,10 +310,14 @@ mod tests {
     fn inserted_keys_are_always_found_across_growth() {
         let mut idx = BloofiIndex::new();
         for i in 0..200u64 {
-            assert!(idx.add_filter(&format!("f{i}")));
-            assert!(idx.insert_keys(&format!("f{i}"), &[i * 1000 + 1, i * 1000 + 2]));
+            assert!(idx.add_filter(&format!("f{i}"), i));
+            assert_eq!(
+                idx.insert_keys(&format!("f{i}"), &[i * 1000 + 1, i * 1000 + 2]),
+                Some(&i)
+            );
         }
-        assert!(!idx.add_filter("f0"), "duplicate rejected");
+        assert!(!idx.add_filter("f0", 999), "duplicate rejected");
+        assert_eq!(idx.get("f0"), Some(&0), "first payload kept");
         assert_eq!(idx.stride, 4, "200 slots grow the rows to 4 words");
         for i in 0..200u64 {
             for key in [i * 1000 + 1, i * 1000 + 2] {
@@ -305,16 +330,20 @@ mod tests {
     fn forget_clears_the_column_and_frees_the_lowest_slot() {
         let mut idx = BloofiIndex::new();
         for i in 0..70u64 {
-            idx.add_filter(&format!("f{i}"));
+            idx.add_filter(&format!("f{i}"), i);
             idx.insert_keys(&format!("f{i}"), &[i]);
         }
-        assert!(idx.remove_filter("f3"));
-        assert!(idx.remove_filter("f65"));
-        assert!(!idx.remove_filter("f3"), "double forget rejected");
+        assert_eq!(idx.remove_filter("f3"), Some(3));
+        assert_eq!(idx.remove_filter("f65"), Some(65));
+        assert_eq!(idx.remove_filter("f3"), None, "double forget rejected");
         assert!(names(&idx, 3).is_empty(), "column cleared");
-        idx.add_filter("new");
-        assert!(idx.contains_filter("new"));
+        idx.add_filter("new", 100);
         assert_eq!(idx.slots["new"], 3, "lowest free slot reused");
+        assert_eq!(
+            idx.tenant(3),
+            ("new", &100),
+            "reused slot carries the new payload"
+        );
         assert!(names(&idx, 3).is_empty(), "reused slot starts empty");
         assert_eq!(names(&idx, 64), vec!["f64".to_string()]);
     }
@@ -322,8 +351,8 @@ mod tests {
     #[test]
     fn saturated_slot_matches_everything_until_forgotten() {
         let mut idx = BloofiIndex::new();
-        idx.add_filter("known");
-        idx.add_filter("blob");
+        idx.add_filter("known", ());
+        idx.add_filter("blob", ());
         idx.insert_keys("known", &[1]);
         assert!(idx.saturate_filter("blob"));
         assert_eq!(idx.saturated_len(), 1);
@@ -332,7 +361,7 @@ mod tests {
         }
         idx.remove_filter("blob");
         assert_eq!(idx.saturated_len(), 0);
-        idx.add_filter("fresh");
+        idx.add_filter("fresh", ());
         assert!(!names(&idx, 999).contains(&"fresh".to_string()));
     }
 
@@ -340,14 +369,14 @@ mod tests {
     fn chunked_lookup_matches_single() {
         let mut idx = BloofiIndex::new();
         for i in 0..200u64 {
-            idx.add_filter(&format!("f{i}"));
+            idx.add_filter(&format!("f{i}"), ());
             idx.insert_keys(&format!("f{i}"), &[i, i + 7000]);
         }
         let keys: Vec<u64> = (0..32).map(|i| i * 37).collect();
         let mut chunked = Vec::new();
         idx.multi_contains_chunk(&keys, &mut chunked);
         for (ids, &k) in chunked.iter().zip(&keys) {
-            let mut got: Vec<String> = ids.iter().map(|&i| idx.leaf_name(i).into()).collect();
+            let mut got: Vec<String> = ids.iter().map(|&i| idx.tenant(i).0.into()).collect();
             got.sort();
             assert_eq!(got, names(&idx, k));
         }

@@ -2,9 +2,12 @@
 //!
 //! One [`FilterClient`] owns one TCP connection and speaks strict
 //! request/response: every call writes a frame, then blocks until the
-//! matching response frame arrives. There is no pipelining — batching
-//! inside a frame is the protocol's amortisation mechanism, and a
-//! closed-loop load generator simply runs one client per thread.
+//! matching response frame arrives. One request is outstanding per
+//! connection — batching inside a frame is the protocol's
+//! amortisation mechanism, and a closed-loop load generator simply
+//! runs one client per thread. The cluster client overlaps *nodes*:
+//! it sends one request on each node's connection before reading any
+//! reply, but never puts two requests on one connection.
 
 use crate::metrics::StatsReport;
 use crate::proto::{
@@ -84,7 +87,8 @@ impl FilterClient {
 
     /// Send one request and block for its response.
     pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        self.call_traced(req, None)
+        self.send(req, None)?;
+        self.recv()
     }
 
     /// Send one request carrying an optional trace context and block
@@ -97,9 +101,27 @@ impl FilterClient {
         req: &Request,
         ctx: Option<TraceContext>,
     ) -> Result<Response, ClientError> {
+        self.send(req, ctx)?;
+        self.recv()
+    }
+
+    /// Write one request frame, in one `write`, without waiting for
+    /// the response. The caller must [`recv`](Self::recv) it before
+    /// the next `send`: one request is outstanding per connection.
+    pub(crate) fn send(
+        &mut self,
+        req: &Request,
+        ctx: Option<TraceContext>,
+    ) -> Result<(), ClientError> {
         self.out.clear();
         encode_frame(&mut self.out, ctx.as_ref(), |out| req.encode_into(out));
         self.frames.get_mut().write_all(&self.out)?;
+        Ok(())
+    }
+
+    /// Block for the response to the request [`send`](Self::send)
+    /// wrote.
+    pub(crate) fn recv(&mut self) -> Result<Response, ClientError> {
         loop {
             match self.frames.read_with(|f| Response::decode(f.payload)) {
                 Ok(Some(resp)) => return resp.map_err(ClientError::Protocol),
@@ -130,6 +152,22 @@ impl FilterClient {
             Response::Bools(b) => Ok(b),
             Response::Error { code, message } => Err(ClientError::Remote { code, message }),
             _ => Err(ClientError::Unexpected("wanted Bools")),
+        }
+    }
+
+    pub(crate) fn expect_name_lists(resp: Response) -> Result<Vec<Vec<String>>, ClientError> {
+        match resp {
+            Response::NameLists(lists) => Ok(lists),
+            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
+            _ => Err(ClientError::Unexpected("wanted NameLists")),
+        }
+    }
+
+    pub(crate) fn expect_stats(resp: Response) -> Result<StatsReport, ClientError> {
+        match resp {
+            Response::Stats(s) => Ok(s),
+            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
+            _ => Err(ClientError::Unexpected("wanted Stats")),
         }
     }
 
@@ -201,11 +239,7 @@ impl FilterClient {
         let resp = self.call(&Request::MultiContains {
             keys: keys.to_vec(),
         })?;
-        match resp {
-            Response::NameLists(lists) => Ok(lists),
-            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
-            _ => Err(ClientError::Unexpected("wanted NameLists")),
-        }
+        Self::expect_name_lists(resp)
     }
 
     /// Batched COUNT (CQF backend only); `out[i]` answers `keys[i]`.
@@ -233,11 +267,7 @@ impl FilterClient {
     /// Fetch the server metrics snapshot and filter inventory.
     pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
         let resp = self.call(&Request::Stats)?;
-        match resp {
-            Response::Stats(s) => Ok(s),
-            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
-            _ => Err(ClientError::Unexpected("wanted Stats")),
-        }
+        Self::expect_stats(resp)
     }
 
     /// Fetch the Prometheus-text metric exposition (the METRICS

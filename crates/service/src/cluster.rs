@@ -27,6 +27,16 @@
 //! seeds, so a migrated filter answers every probe bit-identically to
 //! the original. [`ClusterClient::replicate`] ships the same snapshot
 //! to ring successors instead, for read replicas.
+//!
+//! # Fan-out
+//!
+//! Requests that concern every node (MULTI_CONTAINS, STATS) are sent
+//! on every node's connection before any reply is read, so the nodes
+//! serve them at once and a fan-out costs about the slowest node's
+//! round trip, not the sum. Each connection still carries one request
+//! at a time. When a fan-out returns, Ok or Err, every connection that
+//! carried the request has had its reply read or has been dropped, so
+//! no stale reply is left for the next routed call to misread.
 
 use crate::client::{ClientError, FilterClient};
 use crate::metrics::StatsReport;
@@ -284,27 +294,67 @@ impl ClusterClient {
         Ok(self.conn_for(name)?.delete(name, keys)?)
     }
 
+    /// Send `req` to every node, then read every reply, in node order
+    /// (see the module docs, "Fan-out"). A failed send stops sending;
+    /// the replies to requests already sent are still read. A
+    /// connection that failed to send or receive is dropped and
+    /// reconnects lazily on next use. The first error wins.
+    fn fan_out(&mut self, req: &Request) -> Result<Vec<Response>, ClusterError> {
+        let mut first_err = None;
+        let mut sent = 0;
+        while sent < self.nodes.len() {
+            match self.conn(sent).and_then(|c| Ok(c.send(req, None)?)) {
+                Ok(()) => sent += 1,
+                Err(e) => {
+                    self.nodes[sent].conn = None;
+                    first_err = Some(e);
+                    break;
+                }
+            }
+        }
+        let mut replies = Vec::with_capacity(sent);
+        for node in &mut self.nodes[..sent] {
+            let conn = node.conn.as_mut().expect("the request went out on it");
+            match conn.recv() {
+                Ok(resp) => replies.push(resp),
+                Err(e) => {
+                    node.conn = None;
+                    first_err.get_or_insert(e.into());
+                }
+            }
+        }
+        match first_err {
+            Some(e) => Err(e),
+            None => Ok(replies),
+        }
+    }
+
     /// STATS from every member, keyed by address (the union is the
-    /// cluster's filter inventory).
+    /// cluster's filter inventory). One fan-out: every node is asked
+    /// before any reply is read.
     pub fn stats_all(&mut self) -> Result<BTreeMap<SocketAddr, StatsReport>, ClusterError> {
+        let replies = self.fan_out(&Request::Stats)?;
         let mut out = BTreeMap::new();
-        for idx in 0..self.nodes.len() {
-            let addr = self.nodes[idx].addr;
-            out.insert(addr, self.conn(idx)?.stats()?);
+        for (node, resp) in self.nodes.iter().zip(replies) {
+            out.insert(node.addr, FilterClient::expect_stats(resp)?);
         }
         Ok(out)
     }
 
     /// MULTI_CONTAINS across the whole cluster: every node owns a
     /// disjoint slice of the name space, so the query fans out to
-    /// each node's Bloofi index and the per-key name lists are
-    /// merged (sorted, deduplicated — replicas of a filter on
-    /// several nodes still answer once). `out[i]` answers `keys[i]`
-    /// over every filter registered anywhere in the cluster.
+    /// each node's Bloofi index, all nodes at once, and the per-key
+    /// name lists are merged (sorted, deduplicated — replicas of a
+    /// filter on several nodes still answer once). `out[i]` answers
+    /// `keys[i]` over every filter registered anywhere in the
+    /// cluster.
     pub fn multi_contains(&mut self, keys: &[u64]) -> Result<Vec<Vec<String>>, ClusterError> {
+        let replies = self.fan_out(&Request::MultiContains {
+            keys: keys.to_vec(),
+        })?;
         let mut merged: Vec<Vec<String>> = vec![Vec::new(); keys.len()];
-        for idx in 0..self.nodes.len() {
-            let lists = self.conn(idx)?.multi_contains(keys)?;
+        for resp in replies {
+            let lists = FilterClient::expect_name_lists(resp)?;
             for (m, names) in merged.iter_mut().zip(lists) {
                 m.extend(names);
             }
@@ -323,6 +373,12 @@ impl ClusterClient {
     /// this trace into one cross-process [`Trace`]. Convenience
     /// wrapper over [`ClusterClient::trace_route_begin`] +
     /// [`ClusterClient::trace_collect`].
+    ///
+    /// Unlike [`multi_contains`](Self::multi_contains), the traced
+    /// probe calls the nodes one after another: each call records its
+    /// own client-side `rpc:{addr}` span, and a span that stays open
+    /// across another node's round trip would no longer time its own
+    /// node.
     pub fn trace_route(&mut self, key: u64) -> Result<Trace, ClusterError> {
         let pending = self.trace_route_begin(key, None)?;
         self.trace_collect(pending)
@@ -505,8 +561,8 @@ impl ClusterClient {
         // filter that lands on a later-iterated node must not be
         // re-read and double-counted when that node's turn comes.
         let mut inventory: Vec<(usize, String)> = Vec::new();
-        for idx in 0..self.nodes.len() {
-            for row in self.conn(idx)?.stats()?.filters {
+        for (idx, resp) in self.fan_out(&Request::Stats)?.into_iter().enumerate() {
+            for row in FilterClient::expect_stats(resp)?.filters {
                 inventory.push((idx, row.name));
             }
         }

@@ -1,7 +1,7 @@
 //! The filter-serving core behind the transport.
 //!
-//! [`Engine`] owns everything that is *not* a socket: the named-filter
-//! registry, the per-server metrics set, the slow-request log, the
+//! [`Engine`] owns everything that is *not* a socket: the filter
+//! table, the per-server metrics set, the slow-request log, the
 //! shutdown flag, and the request dispatcher. The server
 //! ([`crate::evented::EventedFilterServer`]) is a thin transport over
 //! one `Engine`, shared by all of its loop threads: every payload
@@ -9,10 +9,12 @@
 //! byte-equal to what `dispatch` returns for the same payload (the e2e
 //! suite asserts this bit-for-bit).
 //!
-//! The registry is a `RwLock<BTreeMap<name, Arc<ServedFilter>>>`.
-//! Request handling clones the `Arc` and releases the registry lock
-//! before touching the filter — concurrency across requests to one
-//! filter is then governed by the filter's own synchronisation
+//! The filter table is the Bloofi index itself, behind one `RwLock`:
+//! each slot carries its filter's `Arc<ServedFilter>` beside the name,
+//! so a name lookup and a MULTI_CONTAINS candidate both lead straight
+//! to the filter. Request handling clones the `Arc` and releases the
+//! lock before touching the filter — concurrency across requests to
+//! one filter is then governed by the filter's own synchronisation
 //! (wait-free atomics for the Bloom backend, per-shard mutexes for
 //! the sharded backends), exactly as measured in E14/E15.
 
@@ -27,8 +29,7 @@ use concurrent::{Sharded, MAX_SHARD_BITS};
 use cuckoo::CuckooFilter;
 use filter_core::{BatchedFilter, ByteReader, ByteWriter, Filter, FilterError, SerialError};
 use quotient::CountingQuotientFilter;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -70,6 +71,14 @@ pub static MULTI_CONTAINS_KEYS: StaticCounter = StaticCounter::new(
     "Keys looked up across the registry by MULTI_CONTAINS.",
 );
 
+/// Names MULTI_CONTAINS returned, each a Bloofi candidate its own
+/// filter confirmed. Over `bb_bloofi_candidates_sum` (the candidates
+/// the same lookups proposed) it is the index's useful ratio.
+pub static MULTI_CONTAINS_NAMES: StaticCounter = StaticCounter::new(
+    "bb_multi_contains_names_total",
+    "Filter names MULTI_CONTAINS returned after confirming Bloofi candidates.",
+);
+
 /// SIMD dispatch tier this process probes at, as the stable numeric
 /// code of [`filter_core::SimdLevel::code`] (1=swar, 2=sse2, 3=avx2,
 /// 4=avx512, 5=neon). An info-style gauge: set once at registry init
@@ -87,6 +96,7 @@ pub fn register_metrics() {
     FILTERS_REGISTERED.register();
     MULTI_CONTAINS_REQUESTS.register();
     MULTI_CONTAINS_KEYS.register();
+    MULTI_CONTAINS_NAMES.register();
     SIMD_LEVEL.register();
     // Idempotent absolute set: the gauge only moves if the dispatch
     // level changed since the last registration (e.g. a test forced
@@ -513,18 +523,17 @@ pub fn build_compacting(capacity: u64, eps: f64, seed: u64) -> CompactingFilter 
     CompactingFilter::new(CompactingConfig::new(front, eps, seed))
 }
 
-/// Everything a filter server is apart from its sockets: registry,
-/// metrics, slow-request log, shutdown flag, config, dispatcher. Each
-/// running server owns one.
+/// Everything a filter server is apart from its sockets: filter
+/// table, metrics, slow-request log, shutdown flag, config,
+/// dispatcher. Each running server owns one.
 pub struct Engine {
-    pub(crate) registry: RwLock<BTreeMap<String, Arc<ServedFilter>>>,
-    /// Bloofi index over the registry: MULTI_CONTAINS scans this
-    /// bit-sliced matrix instead of probing every filter. Kept
-    /// coherent with the registry under a strict lock order
-    /// (registry before index); key inserts hit the index *before*
-    /// the filter, so the index is always a superset of filter
-    /// contents — never a false negative.
-    pub(crate) index: RwLock<BloofiIndex>,
+    /// The filter table: every served filter by name, each in a
+    /// Bloofi slot whose payload is the filter. MULTI_CONTAINS scans
+    /// the bit-sliced matrix instead of probing every filter and
+    /// confirms a candidate through its slot. Key inserts hit the
+    /// index *before* the filter, so the index is always a superset
+    /// of filter contents — never a false negative.
+    pub(crate) filters: RwLock<BloofiIndex<Arc<ServedFilter>>>,
     pub(crate) metrics: ServerMetrics,
     /// Slow-request log: newest 256 requests over the threshold, with
     /// packed opcode/backend/batch context (see [`ReqInfo::packed`]),
@@ -535,11 +544,10 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Fresh engine with an empty registry.
+    /// Fresh engine with an empty filter table.
     pub fn new(config: ServerConfig) -> Engine {
         Engine {
-            registry: RwLock::new(BTreeMap::new()),
-            index: RwLock::new(BloofiIndex::new()),
+            filters: RwLock::new(BloofiIndex::new()),
             metrics: ServerMetrics::new(),
             slowlog: SlowLog::new(256),
             stop: AtomicBool::new(false),
@@ -558,23 +566,12 @@ impl Engine {
     }
 
     /// Install a filter directly, bypassing the wire CREATE. Returns
-    /// `false` when the name is already taken.
+    /// `false` when the name is already taken. The filter arrived
+    /// pre-built, so its key set is unknown: it is indexed saturated
+    /// (conservative — always a candidate, never a false negative).
     pub fn register(&self, name: &str, filter: ServedFilter) -> bool {
-        let mut reg = write_lock(&self.registry);
-        match reg.entry(name.to_string()) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(v) => {
-                v.insert(Arc::new(filter));
-                FILTERS_REGISTERED.add(1);
-                // The filter arrived pre-built, so its key set is
-                // unknown: index it saturated (conservative — always
-                // a candidate, never a false negative).
-                let mut idx = write_lock(&self.index);
-                idx.add_filter(name);
-                idx.saturate_filter(name);
-                true
-            }
-        }
+        let mut filters = write_lock(&self.filters);
+        install(&mut filters, name, filter) && filters.saturate_filter(name)
     }
 
     /// Install a filter directly *with* its key inventory: the index
@@ -584,57 +581,49 @@ impl Engine {
     /// keys would surface as index false negatives. Returns `false`
     /// when the name is already taken.
     pub fn register_tracked(&self, name: &str, filter: ServedFilter, keys: &[u64]) -> bool {
-        let mut reg = write_lock(&self.registry);
-        match reg.entry(name.to_string()) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(v) => {
-                v.insert(Arc::new(filter));
-                FILTERS_REGISTERED.add(1);
-                let mut idx = write_lock(&self.index);
-                idx.add_filter(name);
-                idx.insert_keys(name, keys);
-                true
-            }
-        }
+        let mut filters = write_lock(&self.filters);
+        install(&mut filters, name, filter) && filters.insert_keys(name, keys).is_some()
     }
 
     /// Heap bytes of the Bloofi index (experiment E26 reports it).
     pub fn index_size_in_bytes(&self) -> usize {
-        read_lock(&self.index).size_in_bytes()
+        read_lock(&self.filters).size_in_bytes()
     }
 
     /// Which registered filters (probably) contain each key — the
     /// MULTI_CONTAINS core. Candidates come from a Bloofi matrix scan
     /// per key (8 rows of ⌈N/64⌉ words, in 32-key chunks), then each
-    /// candidate is confirmed against the actual filter: no false
-    /// negatives (the index covers every inserted key), and false
-    /// positives only where a candidate filter itself
-    /// false-positives. The answer is a subset of the flat scan's — a
-    /// filter false-positive the index never proposed is (correctly)
-    /// never reported. Per-key lists are sorted.
+    /// candidate slot's own filter confirms it: no false negatives
+    /// (the index covers every inserted key), and false positives
+    /// only where a candidate filter itself false-positives. The
+    /// answer is a subset of the flat scan's — a filter
+    /// false-positive the index never proposed is (correctly) never
+    /// reported. Per-key lists are sorted. One read lock covers the
+    /// scan and every confirmation, so a slot cannot be freed and
+    /// reused between the two.
     pub fn multi_contains(&self, keys: &[u64]) -> Vec<Vec<String>> {
-        // Lock order: registry before index, matching every
-        // structural site, so CREATE/FORGET can never deadlock
-        // against a concurrent MULTI_CONTAINS.
-        let (reg, idx) = {
+        let filters = {
             let _lock_sp = telemetry::trace::span("engine:lock");
-            (read_lock(&self.registry), read_lock(&self.index))
+            read_lock(&self.filters)
         };
         let mut out = Vec::with_capacity(keys.len());
         let mut candidates = Vec::new();
+        let mut returned = 0;
         for chunk in keys.chunks(filter_core::PROBE_CHUNK) {
-            idx.multi_contains_chunk(chunk, &mut candidates);
-            for (&key, leaf_ids) in chunk.iter().zip(&candidates) {
-                let mut names: Vec<String> = leaf_ids
+            filters.multi_contains_chunk(chunk, &mut candidates);
+            for (&key, slots) in chunk.iter().zip(&candidates) {
+                let mut names: Vec<String> = slots
                     .iter()
-                    .map(|&id| idx.leaf_name(id))
-                    .filter(|name| reg.get(*name).is_some_and(|f| f.contains_one(key)))
-                    .map(str::to_string)
+                    .map(|&slot| filters.tenant(slot))
+                    .filter(|(_, f)| f.contains_one(key))
+                    .map(|(name, _)| name.to_string())
                     .collect();
                 names.sort_unstable();
+                returned += names.len();
                 out.push(names);
             }
         }
+        MULTI_CONTAINS_NAMES.add(returned as u64);
         out
     }
 
@@ -643,12 +632,13 @@ impl Engine {
     /// measured against (experiment E26) and must stay semantically
     /// identical to [`multi_contains`](Self::multi_contains).
     pub fn multi_contains_flat(&self, keys: &[u64]) -> Vec<Vec<String>> {
-        let reg = read_lock(&self.registry);
+        let filters = read_lock(&self.filters);
         keys.iter()
             .map(|&key| {
-                reg.iter()
+                filters
+                    .iter()
                     .filter(|(_, f)| f.contains_one(key))
-                    .map(|(name, _)| name.clone())
+                    .map(|(name, _)| name.to_string())
                     .collect()
             })
             .collect()
@@ -681,6 +671,17 @@ impl Engine {
             );
         }
     }
+}
+
+/// Put `filter` in the lowest free slot under `name`, with an empty
+/// column. Returns `false`, dropping the filter, when the name is
+/// taken.
+fn install(filters: &mut BloofiIndex<Arc<ServedFilter>>, name: &str, filter: ServedFilter) -> bool {
+    let added = filters.add_filter(name, Arc::new(filter));
+    if added {
+        FILTERS_REGISTERED.add(1);
+    }
+    added
 }
 
 pub(crate) fn read_lock<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
@@ -782,18 +783,22 @@ pub fn dispatch(engine: &Engine, payload: &[u8]) -> (Response, ReqInfo) {
     (resp, info)
 }
 
+fn no_such_filter(name: &str) -> Response {
+    err(ErrorCode::NoSuchFilter, format!("no filter named '{name}'"))
+}
+
 // `Response` is as large as its Stats variant; error responses here
 // are always the small Error variant and are immediately serialised,
 // so boxing would only add an allocation to the hot error path.
 #[allow(clippy::result_large_err)]
 fn lookup(engine: &Engine, name: &str) -> Result<Arc<ServedFilter>, Response> {
-    // The span covers registry lock acquisition + the name lookup;
-    // the filter call itself runs after the lock is released.
+    // The span covers lock acquisition + the name lookup; the filter
+    // call itself runs after the lock is released.
     let _sp = telemetry::trace::span("engine:lock");
-    read_lock(&engine.registry)
+    read_lock(&engine.filters)
         .get(name)
         .cloned()
-        .ok_or_else(|| err(ErrorCode::NoSuchFilter, format!("no filter named '{name}'")))
+        .ok_or_else(|| no_such_filter(name))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -814,7 +819,7 @@ fn handle_create(
         );
     }
     // Fast-path duplicate check without building anything.
-    if read_lock(&engine.registry).contains_key(name) {
+    if read_lock(&engine.filters).get(name).is_some() {
         return err(ErrorCode::FilterExists, format!("'{name}' already exists"));
     }
     let filter = if blob.is_empty() {
@@ -866,24 +871,17 @@ fn handle_create(
         }
     };
     // Re-check under the write lock: a racing CREATE may have won.
-    match write_lock(&engine.registry).entry(name.to_string()) {
-        Entry::Occupied(_) => err(ErrorCode::FilterExists, format!("'{name}' already exists")),
-        Entry::Vacant(v) => {
-            v.insert(Arc::new(filter));
-            FILTERS_REGISTERED.add(1);
-            // Index the newcomer while still holding the registry
-            // write lock (registry-before-index order). A blob
-            // arrived pre-populated with keys we cannot enumerate,
-            // so it is saturated; a parameter build starts empty and
-            // accumulates from wire INSERTs.
-            let mut idx = write_lock(&engine.index);
-            idx.add_filter(name);
-            if !blob.is_empty() {
-                idx.saturate_filter(name);
-            }
-            Response::Ok
-        }
+    let mut filters = write_lock(&engine.filters);
+    if !install(&mut filters, name, filter) {
+        return err(ErrorCode::FilterExists, format!("'{name}' already exists"));
     }
+    // A blob arrived pre-populated with keys we cannot enumerate, so
+    // it is saturated; a parameter build starts empty and accumulates
+    // from wire INSERTs.
+    if !blob.is_empty() {
+        filters.saturate_filter(name);
+    }
+    Response::Ok
 }
 
 /// Rebuild a [`ServedFilter`] from an untrusted blob: the inverse of
@@ -954,21 +952,25 @@ fn build_from_blob(backend: Backend, blob: &[u8]) -> Result<ServedFilter, Respon
 }
 
 fn handle_insert(engine: &Engine, name: &str, keys: &[u64]) -> (Response, Option<Backend>) {
-    let f = match lookup(engine, name) {
-        Ok(f) => f,
-        Err(resp) => return (resp, None),
+    // Index first, filter second: a concurrent MULTI_CONTAINS then
+    // sees the index as a superset of every filter's contents, so a
+    // candidate miss is equivalent to linearising before this insert
+    // — never a false negative. (A failed filter insert below leaves
+    // harmless extra index bits.) One name lookup finds the column
+    // and the filter, under one read lock.
+    let filters = {
+        let _sp = telemetry::trace::span("engine:lock");
+        read_lock(&engine.filters)
     };
+    let Some(f) = filters.insert_keys(name, keys).map(Arc::clone) else {
+        return (no_such_filter(name), None);
+    };
+    drop(filters);
     let backend = Some(f.backend());
     engine.metrics.keys_processed.add(keys.len() as u64);
     if keys.len() > 1 {
         engine.metrics.batched_ops.add(keys.len() as u64);
     }
-    // Index first, filter second: a concurrent MULTI_CONTAINS then
-    // sees the index as a superset of every filter's contents, so a
-    // candidate miss is equivalent to linearising before this insert
-    // — never a false negative. (A failed filter insert below leaves
-    // harmless extra index bits.)
-    read_lock(&engine.index).insert_keys(name, keys);
     let sp = telemetry::trace::span("engine:insert");
     sp.annotate(keys.len() as u64, 0);
     let resp = match &*f {
@@ -1088,15 +1090,12 @@ fn handle_snapshot(engine: &Engine, name: &str) -> (Response, Option<Backend>) {
 }
 
 fn handle_forget(engine: &Engine, name: &str) -> Response {
-    let mut reg = write_lock(&engine.registry);
-    match reg.remove(name) {
-        Some(_) => {
-            FILTERS_REGISTERED.add(-1);
-            write_lock(&engine.index).remove_filter(name);
-            Response::Ok
-        }
-        None => err(ErrorCode::NoSuchFilter, format!("no filter named '{name}'")),
-    }
+    // The filter is dropped after the write lock is released.
+    let Some(_filter) = write_lock(&engine.filters).remove_filter(name) else {
+        return no_such_filter(name);
+    };
+    FILTERS_REGISTERED.add(-1);
+    Response::Ok
 }
 
 fn handle_multi_contains(engine: &Engine, keys: &[u64]) -> Response {
@@ -1220,20 +1219,18 @@ pub(crate) fn render_metrics(engine: &Engine) -> String {
     // The index gauges describe this server's index, so they render
     // from it in every build mode (a process-wide gauge would mix the
     // indexes of servers sharing a process).
-    {
-        let idx = read_lock(&engine.index);
-        r.gauge(
-            "bb_bloofi_tenants",
-            "Filters indexed by this server's Bloofi index.",
-            idx.len() as i64,
-        );
-        r.gauge(
-            "bb_bloofi_saturated_tenants",
-            "Indexed filters whose key set is unknown (blob-created or migrated): \
-             MULTI_CONTAINS candidates for every key.",
-            idx.saturated_len() as i64,
-        );
-    }
+    let filters = read_lock(&engine.filters);
+    r.gauge(
+        "bb_bloofi_tenants",
+        "Filters indexed by this server's Bloofi index.",
+        filters.len() as i64,
+    );
+    r.gauge(
+        "bb_bloofi_saturated_tenants",
+        "Indexed filters whose key set is unknown (blob-created or migrated): \
+         MULTI_CONTAINS candidates for every key.",
+        filters.saturated_len() as i64,
+    );
     if telemetry::compiled_out() {
         r.gauge(
             "bb_simd_level",
@@ -1262,8 +1259,7 @@ pub(crate) fn render_metrics(engine: &Engine) -> String {
         "Distinct keys represented per served filter.",
         FamilyKind::Gauge,
     );
-    let reg = read_lock(&engine.registry);
-    for (name, f) in reg.iter().take(MAX_INVENTORY_SERIES) {
+    for (name, f) in filters.iter().take(MAX_INVENTORY_SERIES) {
         r.sample(
             "bb_filter_keys",
             &[("name", name), ("backend", f.backend().name())],
@@ -1275,7 +1271,7 @@ pub(crate) fn render_metrics(engine: &Engine) -> String {
         "Heap bytes per served filter.",
         FamilyKind::Gauge,
     );
-    for (name, f) in reg.iter().take(MAX_INVENTORY_SERIES) {
+    for (name, f) in filters.iter().take(MAX_INVENTORY_SERIES) {
         r.sample(
             "bb_filter_size_bytes",
             &[("name", name), ("backend", f.backend().name())],
@@ -1288,14 +1284,14 @@ pub(crate) fn render_metrics(engine: &Engine) -> String {
     r.gauge(
         "bb_filter_inventory_truncated",
         "Registered filters omitted from the per-filter inventory gauges by the series cap.",
-        reg.len().saturating_sub(MAX_INVENTORY_SERIES) as i64,
+        filters.len().saturating_sub(MAX_INVENTORY_SERIES) as i64,
     );
     r.header(
         "bb_filter_shard_ops_total",
         "Operations routed to each shard of a sharded filter.",
         FamilyKind::Counter,
     );
-    for (name, f) in reg.iter().take(MAX_INVENTORY_SERIES) {
+    for (name, f) in filters.iter().take(MAX_INVENTORY_SERIES) {
         let Some(ops) = f.shard_ops() else { continue };
         if ops.len() > MAX_SHARD_SERIES {
             continue;
@@ -1309,7 +1305,7 @@ pub(crate) fn render_metrics(engine: &Engine) -> String {
             );
         }
     }
-    drop(reg);
+    drop(filters);
 
     // Overwrite accounting for the bounded in-memory logs: how many
     // entries each has silently discarded since start (0 until wrap).
@@ -1349,10 +1345,10 @@ pub(crate) fn render_metrics(engine: &Engine) -> String {
 }
 
 fn handle_stats(engine: &Engine) -> Response {
-    let filters = read_lock(&engine.registry)
+    let filters = read_lock(&engine.filters)
         .iter()
         .map(|(name, f)| FilterRow {
-            name: name.clone(),
+            name: name.to_string(),
             backend: f.backend(),
             len: f.len() as u64,
             size_in_bytes: f.size_in_bytes() as u64,
@@ -1584,7 +1580,7 @@ mod tests {
             .encode(),
         );
         assert_eq!(resp, Response::Ok);
-        assert!(!read_lock(&engine.index).contains_filter("mc-atomic-bloom"));
+        assert!(read_lock(&engine.filters).get("mc-atomic-bloom").is_none());
         let after = engine.multi_contains(&probes);
         assert_tree_within_flat(&after, &engine.multi_contains_flat(&probes));
         assert!(after

@@ -1,7 +1,7 @@
 //! Cluster quickstart: three event-driven filter servers, a
 //! consistent-hash cluster client routing named filters across them,
-//! a live node join with shard migration, and replication of a hot
-//! filter onto its ring successor.
+//! a live node join with shard migration, replication of a hot
+//! filter onto its ring successor, and a cluster-wide MULTI_CONTAINS.
 //!
 //! ```text
 //! cargo run --release --example cluster_quickstart
@@ -82,6 +82,17 @@ fn main() {
         placed[0],
         keys.len()
     );
+
+    // Which tenants hold these keys? MULTI_CONTAINS asks every node at
+    // once and merges their answers: tenant-0 now lives on two nodes
+    // (owner and replica), yet it is listed once.
+    let lists = cluster.multi_contains(&keys[..4]).expect("multi_contains");
+    println!("\ncluster-wide MULTI_CONTAINS:");
+    for (key, names) in keys.iter().zip(&lists) {
+        println!("  {key:#018x} -> {}", names.join(", "));
+        let listed = names.iter().filter(|n| *n == "tenant-0").count();
+        assert_eq!(listed, 1, "tenant-0 must be listed exactly once");
+    }
 
     drop((cluster, direct));
     node_a.shutdown();

@@ -352,6 +352,147 @@ fn multi_contains_never_misses_an_acknowledged_insert() {
 }
 
 #[test]
+fn multi_contains_confirms_through_the_slot_owner_across_reuse() {
+    // A MULTI_CONTAINS candidate is confirmed by the filter in its
+    // Bloofi slot, and FORGET frees slots that CREATE reuses. A reader
+    // probes while, round by round, a writer FORGETs one tracked tenant
+    // and blob-CREATEs a tenant under a new name, which takes the freed
+    // (lowest) slot. Blob tenants are saturated — candidates for every
+    // key — so a slot that still confirmed through the forgotten filter
+    // would report the newcomer for the old tenant's keys. Every name
+    // reported must be confirmed by a bit-identical mirror of that
+    // tenant's own filter, and the stable tenants never go missing.
+    use beyond_bloom::bloom::AtomicBlockedBloomFilter;
+    use beyond_bloom::service::engine::{dispatch, Engine};
+    use beyond_bloom::service::{build_atomic_bloom, Backend, Request, Response, ServerConfig};
+    use std::collections::HashMap;
+    use std::sync::Barrier;
+
+    const ROUNDS: u64 = 8;
+    const STABLE: u64 = 3;
+    const KEYS: usize = 64;
+    const CAPACITY: u64 = 1 << 12;
+    let engine = Engine::new(ServerConfig::default());
+    let call = |req: Request| dispatch(&engine, &req.encode()).0;
+    // Name → (seed, keys, mirror); seeds and key sets differ per name.
+    let mut tenants: HashMap<String, (u64, Vec<u64>, AtomicBlockedBloomFilter)> = HashMap::new();
+    let mut add = |name: String, seed: u64| {
+        let keys = unique_keys(950 + seed, KEYS);
+        let mirror = build_atomic_bloom(CAPACITY, 0.01, seed);
+        mirror.insert_batch(&keys);
+        tenants.insert(name, (seed, keys, mirror));
+    };
+    let stable: Vec<String> = (0..STABLE).map(|s| format!("stable-{s}")).collect();
+    for (s, name) in stable.iter().enumerate() {
+        add(name.clone(), s as u64);
+    }
+    for r in 0..ROUNDS {
+        add(format!("old-{r}"), 100 + r);
+        add(format!("new-{r}"), 200 + r);
+    }
+    // Stable tenants take slots 0..STABLE, old-r the ones after; both
+    // get exact columns through wire INSERTs.
+    for name in stable
+        .iter()
+        .cloned()
+        .chain((0..ROUNDS).map(|r| format!("old-{r}")))
+    {
+        let (seed, keys, _) = &tenants[&name];
+        let resp = call(Request::Create {
+            name: name.clone(),
+            backend: Backend::AtomicBloom,
+            capacity: CAPACITY,
+            eps: 0.01,
+            shard_bits: 0,
+            seed: *seed,
+            blob: Vec::new(),
+        });
+        assert_eq!(resp, Response::Ok, "CREATE {name}");
+        let resp = call(Request::Insert {
+            name: name.clone(),
+            keys: keys.clone(),
+        });
+        assert_eq!(resp, Response::Ok, "INSERT {name}");
+    }
+    let mut probes: Vec<u64> = tenants
+        .values()
+        .flat_map(|(_, keys, _)| keys.clone())
+        .collect();
+    probes.extend(unique_keys(999, 256));
+    // Failures are recorded, not raised, inside the scope: a panic on
+    // one side would leave the other blocked at the barrier.
+    let check = |lists: Vec<Vec<String>>| -> Option<String> {
+        for (&key, names) in probes.iter().zip(&lists) {
+            for name in names {
+                if !tenants[name].2.contains(key) {
+                    return Some(format!(
+                        "{name} reported for {key:#x} without its own filter confirming"
+                    ));
+                }
+            }
+        }
+        for name in &stable {
+            for &key in &tenants[name].1 {
+                let i = probes.iter().position(|&p| p == key).unwrap();
+                if !lists[i].contains(name) {
+                    return Some(format!("{name} missed {key:#x}"));
+                }
+            }
+        }
+        None
+    };
+    let barrier = Barrier::new(2);
+    let reused = AtomicBool::new(false);
+    let (responses, violation) = std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            let mut responses = Vec::new();
+            for r in 0..ROUNDS {
+                barrier.wait();
+                responses.push(call(Request::Forget {
+                    name: format!("old-{r}"),
+                }));
+                // The only free slot is old-r's, so new-r takes it.
+                let name = format!("new-{r}");
+                responses.push(call(Request::Create {
+                    name: name.clone(),
+                    backend: Backend::AtomicBloom,
+                    capacity: 0,
+                    eps: 0.0,
+                    shard_bits: 0,
+                    seed: 0,
+                    blob: tenants[&name].2.to_bytes(),
+                }));
+                reused.store(true, Ordering::Release);
+                barrier.wait();
+            }
+            responses
+        });
+        let mut violation = None;
+        for _ in 0..ROUNDS {
+            barrier.wait();
+            // Race the FORGET and the CREATE that reuses its slot...
+            loop {
+                let done = reused.load(Ordering::Acquire);
+                violation = violation.or_else(|| check(engine.multi_contains(&probes)));
+                if done {
+                    break;
+                }
+            }
+            barrier.wait();
+            reused.store(false, Ordering::Relaxed);
+            // ...then probe the reused slot once it is settled.
+            violation = violation.or_else(|| check(engine.multi_contains(&probes)));
+        }
+        (writer.join().expect("writer"), violation)
+    });
+    assert!(
+        responses.iter().all(|r| *r == Response::Ok),
+        "{responses:?}"
+    );
+    assert_eq!(violation, None);
+}
+
+#[test]
 fn poisoned_shard_recovery_emits_telemetry() {
     // Satellite: a thread that panics while holding a shard lock
     // poisons the mutex; the recovery path must both hand out the

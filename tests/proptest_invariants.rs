@@ -849,20 +849,20 @@ proptest! {
         let mut inserted: Vec<u64> = Vec::new();
         let create = |idx: &mut BloofiIndex, model: &mut BTreeMap<String, Summary>, name: &str| {
             if !model.contains_key(name) {
-                assert!(idx.add_filter(name));
+                assert!(idx.add_filter(name, ()));
                 model.insert(name.to_string(), Summary {
                     blocks: vec![[0; 4]; BLOCKS],
                     saturated: false,
                 });
             } else {
-                assert!(!idx.add_filter(name), "duplicate CREATE rejected");
+                assert!(!idx.add_filter(name, ()), "duplicate CREATE rejected");
             }
         };
         let insert = |idx: &BloofiIndex,
                       model: &mut BTreeMap<String, Summary>,
                       name: &str,
                       keys: &[u64]| {
-            assert!(idx.insert_keys(name, keys));
+            assert!(idx.insert_keys(name, keys).is_some());
             let summary = model.get_mut(name).unwrap();
             for &k in keys {
                 let (b, mask) = locate(k);
@@ -883,7 +883,10 @@ proptest! {
             let name = format!("t{t}");
             match kind {
                 0 | 1 => {
-                    prop_assert_eq!(idx.remove_filter(&name), model.remove(&name).is_some());
+                    prop_assert_eq!(
+                        idx.remove_filter(&name).is_some(),
+                        model.remove(&name).is_some()
+                    );
                 }
                 2 => {
                     let known = model.get_mut(&name).map(|s| s.saturated = true).is_some();
@@ -908,7 +911,7 @@ proptest! {
         for chunk in all_probes.chunks(32) {
             idx.multi_contains_chunk(chunk, &mut candidates);
             for (&key, ids) in chunk.iter().zip(&candidates) {
-                let mut got: Vec<&str> = ids.iter().map(|&id| idx.leaf_name(id)).collect();
+                let mut got: Vec<&str> = ids.iter().map(|&id| idx.tenant(id).0).collect();
                 got.sort_unstable();
                 let (b, mask) = locate(key);
                 let want: Vec<&str> = model

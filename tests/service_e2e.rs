@@ -19,6 +19,7 @@ use beyond_bloom::service::{
 use beyond_bloom::workloads::{disjoint_keys, unique_keys, zipf_keys};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 fn test_config() -> ServerConfig {
@@ -32,6 +33,18 @@ fn start() -> (EventedFilterServer, std::net::SocketAddr) {
     let server = EventedFilterServer::bind("127.0.0.1:0", test_config()).expect("bind ephemeral");
     let addr = server.local_addr();
     (server, addr)
+}
+
+/// `bb_multi_contains_names_total` is process-wide, so every test that
+/// runs MULTI_CONTAINS (over the wire or through `dispatch`) holds this
+/// lock: the METRICS test can then check that its own request moved
+/// the counter by exactly the names it returned.
+static MULTI_CONTAINS_SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial_multi_contains() -> MutexGuard<'static, ()> {
+    MULTI_CONTAINS_SERIAL
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
 }
 
 /// Poll STATS until `pred` holds or the deadline passes. Counter
@@ -696,6 +709,25 @@ fn metrics_exposition_is_valid_and_spans_layers() {
     // The index tracks every registered filter; none is saturated.
     assert_eq!(expo.value("bb_bloofi_tenants").unwrap(), 3.0);
     assert_eq!(expo.value("bb_bloofi_saturated_tenants").unwrap(), 0.0);
+    // A scripted MULTI_CONTAINS moves the names counter by exactly the
+    // names it returned: 100 keys held by all three filters, and 100
+    // absent keys that only a confirmed false positive names.
+    if !compiled_out {
+        assert!(expo.has_family("bb_multi_contains_names_total"));
+        let names_total = |c: &mut FilterClient| {
+            let text = c.metrics_text().unwrap();
+            let expo = beyond_bloom::telemetry::expo::parse(&text).expect("exposition");
+            expo.value("bb_multi_contains_names_total").unwrap()
+        };
+        let mut probes = keys[..100].to_vec();
+        probes.extend(unique_keys(912, 100));
+        let _serial = serial_multi_contains();
+        let before = names_total(&mut c);
+        let lists = c.multi_contains(&probes).unwrap();
+        let returned: usize = lists.iter().map(Vec::len).sum();
+        assert!(returned >= 300, "every held key names its three filters");
+        assert_eq!(names_total(&mut c) - before, returned as f64);
+    }
     // A blob-CREATE has keys the index cannot enumerate, so it raises
     // the saturated gauge; its FORGET lowers it again.
     let saturated = |c: &mut FilterClient| {
@@ -1128,6 +1160,7 @@ fn equivalence_script(server: &EventedFilterServer) -> ScriptRun {
 
 #[test]
 fn wire_responses_match_in_process_dispatch() {
+    let _serial = serial_multi_contains();
     let server = EventedFilterServer::bind("127.0.0.1:0", test_config()).expect("bind");
     let run = equivalence_script(&server);
     server.shutdown();
@@ -1364,6 +1397,152 @@ fn cluster_routes_migrates_and_replicates_across_live_servers() {
     node_c.shutdown();
 }
 
+/// The cluster's MULTI_CONTAINS is the union of its nodes' own
+/// answers: three live nodes, two filters of every backend, one of
+/// them replicated onto a second node.
+#[test]
+fn cluster_multi_contains_is_the_union_of_node_answers() {
+    let _serial = serial_multi_contains();
+    let nodes: Vec<EventedFilterServer> = (0..3)
+        .map(|_| EventedFilterServer::bind("127.0.0.1:0", test_config()).expect("bind"))
+        .collect();
+    let addrs: Vec<SocketAddr> = nodes.iter().map(|n| n.local_addr()).collect();
+    let mut cluster = ClusterClient::new(addrs.clone()).expect("cluster");
+    let backends = [
+        Backend::AtomicBloom,
+        Backend::ShardedCuckoo,
+        Backend::ShardedCqf,
+        Backend::RegisterBloom,
+        Backend::Compacting,
+        Backend::TwoChoiceBloom,
+    ];
+    // 200 keys stay inside the compacting filter's 1,024-key front, so
+    // no background compaction moves its false positives between the
+    // cluster's answer and the nodes' own.
+    let mut filters: Vec<(String, Vec<u64>)> = Vec::new();
+    for (i, &backend) in backends.iter().cycle().take(12).enumerate() {
+        let name = format!("union-{i:02}-{}", backend.name());
+        cluster
+            .create(&name, backend, 8_192, 0.01, 1, 60 + i as u64)
+            .unwrap();
+        let keys = unique_keys(970 + i as u64, 200);
+        cluster.insert(&name, &keys).unwrap();
+        filters.push((name, keys));
+    }
+    let replicated = filters[0].0.clone();
+    let placed = cluster.replicate(&replicated, 1).expect("replicate");
+    assert_eq!(placed.len(), 1);
+
+    let mut probes: Vec<u64> = filters.iter().flat_map(|(_, keys)| keys.clone()).collect();
+    probes.extend(unique_keys(990, 500));
+    let got = cluster
+        .multi_contains(&probes)
+        .expect("cluster MULTI_CONTAINS");
+    let mut want: Vec<Vec<String>> = vec![Vec::new(); probes.len()];
+    for &addr in &addrs {
+        let own = FilterClient::connect(addr)
+            .unwrap()
+            .multi_contains(&probes)
+            .unwrap();
+        for (w, names) in want.iter_mut().zip(own) {
+            w.extend(names);
+        }
+    }
+    for w in &mut want {
+        w.sort_unstable();
+        w.dedup();
+    }
+    assert_eq!(
+        got, want,
+        "cluster answer = sorted, deduplicated node union"
+    );
+    let mut at = 0;
+    for (name, keys) in &filters {
+        for (key, names) in keys.iter().zip(&got[at..at + keys.len()]) {
+            assert!(
+                names.contains(name),
+                "{name} holds {key:#x} but was not named"
+            );
+        }
+        at += keys.len();
+    }
+    for names in &got {
+        assert!(names.iter().filter(|n| **n == replicated).count() <= 1);
+    }
+    for names in &got[..filters[0].1.len()] {
+        assert_eq!(names.iter().filter(|n| **n == replicated).count(), 1);
+    }
+    drop(cluster);
+    for node in nodes {
+        node.shutdown();
+    }
+}
+
+/// A two-node cluster whose first node (in `ClusterClient::new` order)
+/// fails a MULTI_CONTAINS: it refuses the frame (`max_frame` below the
+/// request) or it has been shut down. The fan-out must return Err, and
+/// must not leave the second node's reply unread: a CONTAINS routed to
+/// the second node afterwards gets that filter's own Bools.
+fn assert_no_stale_reply_after(first_config: ServerConfig, shut_down_first: bool) {
+    let _serial = serial_multi_contains();
+    let first = EventedFilterServer::bind("127.0.0.1:0", first_config).expect("bind first");
+    let second = EventedFilterServer::bind("127.0.0.1:0", test_config()).expect("bind second");
+    let mut cluster =
+        ClusterClient::new(vec![first.local_addr(), second.local_addr()]).expect("cluster");
+    let name = (0..)
+        .map(|i| format!("solo-{i}"))
+        .find(|n| cluster.owner_addr(n) == second.local_addr())
+        .unwrap();
+    cluster
+        .create(&name, Backend::AtomicBloom, 10_000, 0.01, 0, 5)
+        .unwrap();
+    let keys = unique_keys(960, 256);
+    cluster.insert(&name, &keys[..128]).unwrap();
+    // Both connections are open and in step before the fault.
+    assert_eq!(cluster.multi_contains(&keys[..4]).unwrap().len(), 4);
+    let first = if shut_down_first {
+        first.shutdown();
+        None
+    } else {
+        Some(first)
+    };
+    assert!(
+        cluster.multi_contains(&keys).is_err(),
+        "the first node's failure must fail the fan-out"
+    );
+    let own = FilterClient::connect(second.local_addr())
+        .unwrap()
+        .contains(&name, &keys)
+        .unwrap();
+    assert_eq!(
+        cluster
+            .contains(&name, &keys)
+            .expect("routed CONTAINS after the failed fan-out"),
+        own
+    );
+    drop(cluster);
+    if let Some(first) = first {
+        first.shutdown();
+    }
+    second.shutdown();
+}
+
+#[test]
+fn failed_fan_out_leaves_no_stale_reply_when_a_node_refuses_the_frame() {
+    // 256 keys need a ~2 KiB frame; the first node takes at most 512
+    // bytes, answers BadFrame and closes.
+    let small = ServerConfig {
+        max_frame: 512,
+        ..test_config()
+    };
+    assert_no_stale_reply_after(small, false);
+}
+
+#[test]
+fn failed_fan_out_leaves_no_stale_reply_when_a_node_is_down() {
+    assert_no_stale_reply_after(test_config(), true);
+}
+
 // ===============================================================
 // Distributed tracing: one traced probe at the cluster client must
 // assemble into a single cross-process trace spanning client
@@ -1425,6 +1604,7 @@ fn trace_route_assembles_one_cross_process_trace() {
     if beyond_bloom::telemetry::compiled_out() {
         return; // tracing compiles out with telemetry-off
     }
+    let _serial = serial_multi_contains();
     let node_a = EventedFilterServer::bind("127.0.0.1:0", test_config()).expect("bind a");
     let node_b = EventedFilterServer::bind("127.0.0.1:0", test_config()).expect("bind b");
     let (addr_a, addr_b) = (node_a.local_addr(), node_b.local_addr());
