@@ -46,13 +46,13 @@
 //! SWAR. [`usable_levels`] names the tiers that genuinely run on this
 //! machine.
 //!
-//! Two environment pins, read before first use: setting
-//! `BEYOND_BLOOM_FORCE_SCALAR` (to any value) pins the dispatch to
-//! the SWAR path, and `BEYOND_BLOOM_FORCE_LEVEL=<swar|neon|sse2|avx2|avx512>`
-//! pins any single tier (clamped to detection; unknown names are
-//! ignored). CI runs the whole test suite under forced SWAR and a
-//! forced sweep over every usable tier, so the fallbacks are
-//! exercised deliberately, not only on exotic hardware.
+//! One environment pin, read before first use:
+//! `BEYOND_BLOOM_FORCE_LEVEL=<swar|neon|sse2|avx2|avx512>` pins any
+//! single tier (clamped to detection; unknown names are ignored).
+//! `swar` (or its alias `scalar`) also disables the PDEP select, which
+//! is tied to the SSE2 tier and up. CI runs the whole test suite under
+//! forced SWAR and a forced sweep over every usable tier, so the
+//! fallbacks are exercised deliberately, not only on exotic hardware.
 //!
 //! # Safety argument
 //!
@@ -242,9 +242,8 @@ fn pdep_usable(level: SimdLevel) -> bool {
 
 /// The tier the auto-dispatching primitives currently run at.
 ///
-/// Detected once and cached; honours `BEYOND_BLOOM_FORCE_SCALAR`
-/// (pins to [`SimdLevel::Swar`]), `BEYOND_BLOOM_FORCE_LEVEL` (pins a
-/// named tier, clamped to detection) and any [`force_level`]
+/// Detected once and cached; honours `BEYOND_BLOOM_FORCE_LEVEL`
+/// (pins a named tier, clamped to detection) and any [`force_level`]
 /// override.
 pub fn active_level() -> SimdLevel {
     let raw = LEVEL.load(Ordering::Relaxed);
@@ -260,15 +259,11 @@ pub fn active_level() -> SimdLevel {
     level
 }
 
-/// The environment pins, strongest first: `BEYOND_BLOOM_FORCE_SCALAR`
-/// (any value → SWAR), then `BEYOND_BLOOM_FORCE_LEVEL=<name>` (one of
-/// [`SimdLevel::name`], clamped to detection). Unknown names are
-/// ignored so a typo degrades to auto-detection, never to a crash in
-/// library code.
+/// The environment pin `BEYOND_BLOOM_FORCE_LEVEL=<name>` (one of
+/// [`SimdLevel::name`], or `scalar` for SWAR), clamped to detection.
+/// Unknown names are ignored so a typo degrades to auto-detection,
+/// never to a crash in library code.
 fn env_pinned_level() -> Option<SimdLevel> {
-    if std::env::var_os("BEYOND_BLOOM_FORCE_SCALAR").is_some() {
-        return Some(SimdLevel::Swar);
-    }
     let name = std::env::var("BEYOND_BLOOM_FORCE_LEVEL").ok()?;
     let level = match name.trim().to_ascii_lowercase().as_str() {
         "swar" | "scalar" => SimdLevel::Swar,

@@ -463,8 +463,8 @@ impl ClusterClient {
             expected_rpcs,
         } = pending;
         if trace_id == 0 {
-            // Tracing is compiled out or switched off: nothing was
-            // recorded anywhere; skip the collection round-trips.
+            // The telemetry switch is off: nothing was recorded
+            // anywhere; skip the collection round-trips.
             return Ok(Trace { trace_id, spans });
         }
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);

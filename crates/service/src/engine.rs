@@ -35,28 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, SystemTime};
 use telemetry::expo::{FamilyKind, TextRenderer};
-use telemetry::{StaticCounter, StaticGauge};
-
-/// Requests fully served (response written), across every server in
-/// the process.
-pub static SERVICE_REQUESTS: StaticCounter = StaticCounter::new(
-    "bb_service_requests_total",
-    "Requests fully served across all filter servers in the process.",
-);
-
-/// Requests whose service time exceeded the configured slow-request
-/// threshold (each also lands in the per-server slow-request log).
-pub static SERVICE_SLOW_REQUESTS: StaticCounter = StaticCounter::new(
-    "bb_service_slow_requests_total",
-    "Requests slower than the configured slow-request threshold.",
-);
-
-/// Filters currently registered across every server in the process
-/// (wire CREATEs plus direct `register` calls).
-pub static FILTERS_REGISTERED: StaticGauge = StaticGauge::new(
-    "bb_service_filters_registered",
-    "Filters currently registered across all filter servers.",
-);
+use telemetry::StaticCounter;
 
 /// MULTI_CONTAINS requests served (each fans one key batch across
 /// the whole registry through the Bloofi index).
@@ -79,30 +58,12 @@ pub static MULTI_CONTAINS_NAMES: StaticCounter = StaticCounter::new(
     "Filter names MULTI_CONTAINS returned after confirming Bloofi candidates.",
 );
 
-/// SIMD dispatch tier this process probes at, as the stable numeric
-/// code of [`filter_core::SimdLevel::code`] (1=swar, 2=sse2, 3=avx2,
-/// 4=avx512, 5=neon). An info-style gauge: set once at registry init
-/// so a METRICS scrape shows which tier a server actually runs.
-pub static SIMD_LEVEL: StaticGauge = StaticGauge::new(
-    "bb_simd_level",
-    "Active SIMD dispatch tier (1=swar, 2=sse2, 3=avx2, 4=avx512, 5=neon).",
-);
-
 /// Eagerly register this crate's metric families so they render in
 /// the exposition even before any traffic touches them.
 pub fn register_metrics() {
-    SERVICE_REQUESTS.register();
-    SERVICE_SLOW_REQUESTS.register();
-    FILTERS_REGISTERED.register();
     MULTI_CONTAINS_REQUESTS.register();
     MULTI_CONTAINS_KEYS.register();
     MULTI_CONTAINS_NAMES.register();
-    SIMD_LEVEL.register();
-    // Idempotent absolute set: the gauge only moves if the dispatch
-    // level changed since the last registration (e.g. a test forced
-    // a tier between binds).
-    let code = filter_core::simd::active_level().code() as i64;
-    SIMD_LEVEL.add(code - SIMD_LEVEL.get());
 }
 
 /// Register every layer's metric families (filter crates + this one)
@@ -571,7 +532,7 @@ impl Engine {
     /// (conservative — always a candidate, never a false negative).
     pub fn register(&self, name: &str, filter: ServedFilter) -> bool {
         let mut filters = write_lock(&self.filters);
-        install(&mut filters, name, filter) && filters.saturate_filter(name)
+        filters.add_filter(name, Arc::new(filter)) && filters.saturate_filter(name)
     }
 
     /// Install a filter directly *with* its key inventory: the index
@@ -582,7 +543,7 @@ impl Engine {
     /// when the name is already taken.
     pub fn register_tracked(&self, name: &str, filter: ServedFilter, keys: &[u64]) -> bool {
         let mut filters = write_lock(&self.filters);
-        install(&mut filters, name, filter) && filters.insert_keys(name, keys).is_some()
+        filters.add_filter(name, Arc::new(filter)) && filters.insert_keys(name, keys).is_some()
     }
 
     /// Heap bytes of the Bloofi index (experiment E26 reports it).
@@ -644,8 +605,8 @@ impl Engine {
             .collect()
     }
 
-    /// Account one fully-served request: latency histogram, process
-    /// counters, and the slow-request log. The server calls this after
+    /// Account one fully-served request: latency histogram, slow
+    /// counter, and the slow-request log. The server calls this after
     /// the response is queued, passing the request guard's trace id —
     /// minted on demand for slow requests — so the slow-log line and
     /// the tail-captured trace share an id. Public for the same reason as
@@ -659,10 +620,8 @@ impl Engine {
         trace_id: u64,
     ) {
         self.metrics.request_latency.record(dt);
-        SERVICE_REQUESTS.inc();
         if dt >= self.config.slow_request_threshold {
             self.metrics.slow_requests.inc();
-            SERVICE_SLOW_REQUESTS.inc();
             self.slowlog.emit(
                 dt.as_nanos().min(u64::MAX as u128) as u64,
                 info.packed(),
@@ -671,17 +630,6 @@ impl Engine {
             );
         }
     }
-}
-
-/// Put `filter` in the lowest free slot under `name`, with an empty
-/// column. Returns `false`, dropping the filter, when the name is
-/// taken.
-fn install(filters: &mut BloofiIndex<Arc<ServedFilter>>, name: &str, filter: ServedFilter) -> bool {
-    let added = filters.add_filter(name, Arc::new(filter));
-    if added {
-        FILTERS_REGISTERED.add(1);
-    }
-    added
 }
 
 pub(crate) fn read_lock<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
@@ -872,7 +820,7 @@ fn handle_create(
     };
     // Re-check under the write lock: a racing CREATE may have won.
     let mut filters = write_lock(&engine.filters);
-    if !install(&mut filters, name, filter) {
+    if !filters.add_filter(name, Arc::new(filter)) {
         return err(ErrorCode::FilterExists, format!("'{name}' already exists"));
     }
     // A blob arrived pre-populated with keys we cannot enumerate, so
@@ -1094,7 +1042,6 @@ fn handle_forget(engine: &Engine, name: &str) -> Response {
     let Some(_filter) = write_lock(&engine.filters).remove_filter(name) else {
         return no_such_filter(name);
     };
-    FILTERS_REGISTERED.add(-1);
     Response::Ok
 }
 
@@ -1217,8 +1164,8 @@ pub(crate) fn render_metrics(engine: &Engine) -> String {
     );
 
     // The index gauges describe this server's index, so they render
-    // from it in every build mode (a process-wide gauge would mix the
-    // indexes of servers sharing a process).
+    // from it (a process-wide gauge would mix the indexes of servers
+    // sharing a process).
     let filters = read_lock(&engine.filters);
     r.gauge(
         "bb_bloofi_tenants",
@@ -1231,26 +1178,13 @@ pub(crate) fn render_metrics(engine: &Engine) -> String {
          MULTI_CONTAINS candidates for every key.",
         filters.saturated_len() as i64,
     );
-    if telemetry::compiled_out() {
-        r.gauge(
-            "bb_simd_level",
-            "Active SIMD dispatch tier (1=swar, 2=sse2, 3=avx2, 4=avx512, 5=neon).",
-            i64::from(filter_core::simd::active_level().code()),
-        );
-        // No trace store exists in this build, so its drop counters
-        // are structurally zero — rendered anyway so scrape
-        // dashboards see the same families in both modes.
-        r.counter(
-            "bb_traces_dropped_total",
-            "Promoted traces evicted from the bounded trace store before being fetched.",
-            0,
-        );
-        r.counter(
-            "bb_trace_spans_dropped_total",
-            "Spans dropped by per-request buffer or orphan-pool bounds.",
-            0,
-        );
-    }
+    // Read at scrape time: a static gauge set at bind would stay 0
+    // if the telemetry switch was off then.
+    r.gauge(
+        "bb_simd_level",
+        "Active SIMD dispatch tier (1=swar, 2=sse2, 3=avx2, 4=avx512, 5=neon).",
+        i64::from(filter_core::simd::active_level().code()),
+    );
 
     // Inventory: one labelled series per registered filter, plus
     // per-shard op counts for the sharded backends.

@@ -1,4 +1,4 @@
-//! Structured event vocabulary shared by both build modes.
+//! Structured event vocabulary: what the event ring records.
 
 /// What happened. Each variant carries two `u64` payload slots (`a`,
 /// `b`) whose meaning is variant-specific and documented here.

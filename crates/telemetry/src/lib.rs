@@ -4,9 +4,9 @@
 //!
 //! # Layers
 //!
-//! - [`Counter`] / [`Gauge`] / [`Histogram`]: instance value types.
-//!   Always compiled (even under `telemetry-off`) because the service
-//!   embeds them in its wire-visible STATS report.
+//! - [`Counter`] / [`Gauge`] / [`Histogram`]: instance value types,
+//!   never switched off, because the service embeds them in its
+//!   wire-visible STATS report.
 //! - [`StaticCounter`] / [`StaticGauge`] / [`StaticHistogram`]:
 //!   named `static` handles that lazily self-register into a global
 //!   registry on first touch. [`render_registry`] walks the registry
@@ -27,42 +27,27 @@
 //!
 //! # Turning it off
 //!
-//! Two independent mechanisms:
-//!
-//! - **Runtime kill switch** — [`set_enabled`]`(false)` makes every
-//!   static handle, span, and global [`emit`] a single relaxed load
-//!   followed by a branch-not-taken. Instance value types are *not*
-//!   gated (the service's STATS path must keep counting).
-//! - **Compile-time** — the `telemetry-off` cargo feature swaps the
-//!   whole live layer for no-op stubs with identical signatures
-//!   ([`compiled_out`] reports which build this is). Filter behaviour
-//!   is bit-identical by construction: instrumentation observes,
-//!   never decides.
+//! One runtime switch: [`set_enabled`]`(false)` makes every static
+//! handle, span timer, and global [`emit`] a single relaxed load
+//! followed by a branch-not-taken, and the [`trace`] recorder records
+//! nothing until the switch is back on. Instance value types are
+//! *not* gated (the service's STATS path must keep counting). Filter
+//! behaviour is identical either way: instrumentation observes, never
+//! decides.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod events;
+mod live;
 mod value;
 
 pub mod expo;
 pub mod trace;
 
 pub use events::{Event, EventKind};
-pub use value::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
-
-#[cfg(not(feature = "telemetry-off"))]
-mod live;
-#[cfg(not(feature = "telemetry-off"))]
 pub use live::{
-    compiled_out, emit, enabled, events, render_registry, set_enabled, EventRing, Span,
-    StaticCounter, StaticGauge, StaticHistogram,
+    emit, enabled, events, render_registry, set_enabled, EventRing, Span, StaticCounter,
+    StaticGauge, StaticHistogram,
 };
-
-#[cfg(feature = "telemetry-off")]
-mod off;
-#[cfg(feature = "telemetry-off")]
-pub use off::{
-    compiled_out, emit, enabled, events, render_registry, set_enabled, EventRing, Span,
-    StaticCounter, StaticGauge, StaticHistogram,
-};
+pub use value::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};

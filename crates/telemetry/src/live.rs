@@ -1,4 +1,4 @@
-//! The real instrumentation layer (compiled unless `telemetry-off`).
+//! The instrumentation layer behind the runtime switch.
 //!
 //! Static handles wrap an instance value with a name and a
 //! `Once`-guarded lazy registration into the process-wide registry, so
@@ -13,14 +13,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{LazyLock, Mutex, Once};
 use std::time::{Duration, Instant};
 
-/// Runtime kill switch. Static-handle updates, event emission, and
-/// span timers check this; instance values do not.
+/// Runtime kill switch. Static-handle updates, event emission, span
+/// timers and the trace recorder check this; instance values do not.
 static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Whether instrumentation was compiled out (`telemetry-off`).
-pub const fn compiled_out() -> bool {
-    false
-}
 
 /// Flip the runtime kill switch (the E22 overhead experiment measures
 /// on-vs-off within one binary). On by default.

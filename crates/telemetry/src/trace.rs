@@ -20,11 +20,13 @@
 //! [`json`] holds the minimal parser tests use to schema-check that
 //! output.
 //!
-//! Like the rest of the crate, the recording half has
-//! signature-identical no-op twins under `telemetry-off` (the wire
-//! types, store, and renderers stay compiled so mixed builds still
-//! interoperate — an off-build server parses traced frames, it just
-//! records nothing).
+//! Like the rest of the crate, the recording half honours the runtime
+//! switch: while `set_enabled(false)` is in effect, [`begin_forced`],
+//! a context-carrying or head-sampled [`begin`] and [`record_linked`]
+//! record nothing (their guards are inert and report trace id 0), and
+//! a lazy guard never tail-promotes. The wire types, store, and
+//! renderers do not change, so a switched-off server still parses
+//! traced frames; it just records nothing.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -133,7 +135,6 @@ const MAX_TRACES: usize = 128;
 /// Background spans waiting for their trace to be promoted/fetched.
 const MAX_ORPHANS: usize = 256;
 /// Spans one request may record before the rest are counted dropped.
-#[cfg(not(feature = "telemetry-off"))]
 const MAX_REQUEST_SPANS: usize = 128;
 
 /// Traces evicted from the bounded store (oldest-first) before being
@@ -613,7 +614,6 @@ pub mod json {
     }
 }
 
-#[cfg(not(feature = "telemetry-off"))]
 mod record {
     //! The live recording half: per-thread span buffers, id
     //! generation, guards, and the promotion decision.
@@ -1168,103 +1168,7 @@ mod record {
     }
 }
 
-#[cfg(not(feature = "telemetry-off"))]
 pub use record::{
-    begin, begin_forced, current_context, current_trace_id, handoff, record_linked, span,
-    RequestGuard, SpanGuard,
-};
-
-#[cfg(feature = "telemetry-off")]
-mod record_off {
-    //! No-op twins of the recording half, signature-identical to
-    //! [`record`](super) so instrumented crates compile unchanged
-    //! under `telemetry-off` and the optimizer deletes every call.
-
-    use super::{SpanHandoff, SpanRecord, TraceContext};
-    use std::borrow::Cow;
-    use std::time::Duration;
-
-    /// Inert request guard.
-    pub struct RequestGuard {
-        _priv: (),
-    }
-
-    impl RequestGuard {
-        /// Always zero.
-        #[inline(always)]
-        pub fn trace_id(&self) -> u64 {
-            0
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn finish(self, _slow: bool, _error: bool) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn finish_timed(self, _dur: Duration, _slow: bool, _error: bool) {}
-
-        /// Always `(0, [])`.
-        #[inline(always)]
-        pub fn finish_collect(self) -> (u64, Vec<SpanRecord>) {
-            (0, Vec::new())
-        }
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn begin(_name: &'static str, _ctx: Option<TraceContext>) -> RequestGuard {
-        RequestGuard { _priv: () }
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn begin_forced(_name: &'static str) -> RequestGuard {
-        RequestGuard { _priv: () }
-    }
-
-    /// Inert child span.
-    pub struct SpanGuard {
-        _priv: (),
-    }
-
-    impl SpanGuard {
-        /// No-op.
-        #[inline(always)]
-        pub fn annotate(&self, _a: u64, _b: u64) {}
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn span(_name: impl Into<Cow<'static, str>>) -> SpanGuard {
-        SpanGuard { _priv: () }
-    }
-
-    /// Always `None`.
-    #[inline(always)]
-    pub fn current_context(_forced: bool) -> Option<TraceContext> {
-        None
-    }
-
-    /// Always zero.
-    #[inline(always)]
-    pub fn current_trace_id() -> u64 {
-        0
-    }
-
-    /// Always `None`.
-    #[inline(always)]
-    pub fn handoff() -> Option<SpanHandoff> {
-        None
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn record_linked(_h: SpanHandoff, _name: &'static str, _dur: Duration, _a: u64, _b: u64) {}
-}
-
-#[cfg(feature = "telemetry-off")]
-pub use record_off::{
     begin, begin_forced, current_context, current_trace_id, handoff, record_linked, span,
     RequestGuard, SpanGuard,
 };
@@ -1362,7 +1266,6 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     mod live {
         use super::super::*;
         use std::time::Duration;

@@ -1,8 +1,8 @@
-//! Instance metric value types: always compiled, never registered.
+//! Instance metric value types: never switched off, never registered.
 //!
 //! These are plain data holders — the service's wire STATS path embeds
-//! them directly (`ServerMetrics`), so they must keep counting even
-//! when the `telemetry-off` feature compiles the registry away. The
+//! them directly (`ServerMetrics`), so they keep counting even while
+//! the runtime switch (`set_enabled(false)`) silences the registry. The
 //! static *handles* in the crate root wrap these values with names and
 //! lazy registration.
 

@@ -498,9 +498,6 @@ fn poisoned_shard_recovery_emits_telemetry() {
     // poisons the mutex; the recovery path must both hand out the
     // guard (no cascading panic) and record the recovery in the
     // telemetry layer — counter and structured event.
-    if beyond_bloom::telemetry::compiled_out() {
-        return; // telemetry-off build: nothing to observe
-    }
     let f: Sharded<BloomFilter> = Sharded::new(2, |i| {
         BloomFilter::with_seed(1_000, 0.01, 0x9909 ^ i as u64)
     });
@@ -572,24 +569,22 @@ fn metrics_are_consistent_across_threads() {
     assert_eq!(snap.sum(), oracle_sums.iter().sum::<u64>());
     // Per-shard op counters on a sharded filter agree with the total
     // number of pointwise operations issued.
-    if !beyond_bloom::telemetry::compiled_out() {
-        beyond_bloom::telemetry::set_enabled(true);
-        let f: Sharded<BloomFilter> = Sharded::new(3, |i| {
-            BloomFilter::with_seed(10_000, 0.01, 0x5eed ^ i as u64)
-        });
-        let keys = unique_keys(909, 8_000);
-        std::thread::scope(|s| {
-            for chunk in keys.chunks(2_000) {
-                let f = &f;
-                s.spawn(move || {
-                    for &k in chunk {
-                        f.insert(k).unwrap();
-                    }
-                });
-            }
-        });
-        let ops = f.shard_ops();
-        assert_eq!(ops.len(), 8);
-        assert_eq!(ops.iter().sum::<u64>(), 8_000);
-    }
+    beyond_bloom::telemetry::set_enabled(true);
+    let f: Sharded<BloomFilter> = Sharded::new(3, |i| {
+        BloomFilter::with_seed(10_000, 0.01, 0x5eed ^ i as u64)
+    });
+    let keys = unique_keys(909, 8_000);
+    std::thread::scope(|s| {
+        for chunk in keys.chunks(2_000) {
+            let f = &f;
+            s.spawn(move || {
+                for &k in chunk {
+                    f.insert(k).unwrap();
+                }
+            });
+        }
+    });
+    let ops = f.shard_ops();
+    assert_eq!(ops.len(), 8);
+    assert_eq!(ops.iter().sum::<u64>(), 8_000);
 }

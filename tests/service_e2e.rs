@@ -669,23 +669,20 @@ fn metrics_exposition_is_valid_and_spans_layers() {
         expo.family_count(),
         expo.family_names().collect::<Vec<_>>().join("\n")
     );
-    let compiled_out = beyond_bloom::telemetry::compiled_out();
-    if !compiled_out {
-        // Filter-layer families (registered eagerly at bind).
-        for fam in [
-            "bb_bloom_scalable_expansions_total",      // bloom
-            "bb_cuckoo_kick_chain_length",             // cuckoo
-            "bb_cqf_cluster_length",                   // quotient
-            "bb_sharded_lock_poison_recoveries_total", // concurrent
-            "bb_service_requests_total",               // service
-        ] {
-            assert!(expo.has_family(fam), "missing family {fam}:\n{text}");
-        }
-        assert!(expo.value("bb_service_requests_total").unwrap() > 0.0);
-        // The sharded inserts exercised per-shard op accounting.
-        assert!(expo.labeled_sum("bb_filter_shard_ops_total", "mx-cuckoo") > 0.0);
+    // Filter-layer families (registered eagerly at bind).
+    for fam in [
+        "bb_bloom_scalable_expansions_total",      // bloom
+        "bb_cuckoo_kick_chain_length",             // cuckoo
+        "bb_cqf_cluster_length",                   // quotient
+        "bb_sharded_lock_poison_recoveries_total", // concurrent
+        "bb_multi_contains_requests_total",        // service
+    ] {
+        assert!(expo.has_family(fam), "missing family {fam}:\n{text}");
     }
-    // Server families render regardless of build mode.
+    assert!(expo.value("bb_server_request_latency_ns_count").unwrap() > 0.0);
+    // The sharded inserts exercised per-shard op accounting.
+    assert!(expo.labeled_sum("bb_filter_shard_ops_total", "mx-cuckoo") > 0.0);
+    // Server families.
     for fam in [
         "bb_server_frames_received_total",
         "bb_server_keys_processed_total",
@@ -701,9 +698,7 @@ fn metrics_exposition_is_valid_and_spans_layers() {
     ] {
         assert!(expo.has_family(fam), "missing family {fam}");
     }
-    if !compiled_out {
-        assert!(expo.has_family("bb_bloofi_candidates"));
-    }
+    assert!(expo.has_family("bb_bloofi_candidates"));
     // Three filters fit comfortably under the inventory series cap.
     assert_eq!(expo.value("bb_filter_inventory_truncated").unwrap(), 0.0);
     // The index tracks every registered filter; none is saturated.
@@ -712,22 +707,20 @@ fn metrics_exposition_is_valid_and_spans_layers() {
     // A scripted MULTI_CONTAINS moves the names counter by exactly the
     // names it returned: 100 keys held by all three filters, and 100
     // absent keys that only a confirmed false positive names.
-    if !compiled_out {
-        assert!(expo.has_family("bb_multi_contains_names_total"));
-        let names_total = |c: &mut FilterClient| {
-            let text = c.metrics_text().unwrap();
-            let expo = beyond_bloom::telemetry::expo::parse(&text).expect("exposition");
-            expo.value("bb_multi_contains_names_total").unwrap()
-        };
-        let mut probes = keys[..100].to_vec();
-        probes.extend(unique_keys(912, 100));
-        let _serial = serial_multi_contains();
-        let before = names_total(&mut c);
-        let lists = c.multi_contains(&probes).unwrap();
-        let returned: usize = lists.iter().map(Vec::len).sum();
-        assert!(returned >= 300, "every held key names its three filters");
-        assert_eq!(names_total(&mut c) - before, returned as f64);
-    }
+    assert!(expo.has_family("bb_multi_contains_names_total"));
+    let names_total = |c: &mut FilterClient| {
+        let text = c.metrics_text().unwrap();
+        let expo = beyond_bloom::telemetry::expo::parse(&text).expect("exposition");
+        expo.value("bb_multi_contains_names_total").unwrap()
+    };
+    let mut probes = keys[..100].to_vec();
+    probes.extend(unique_keys(912, 100));
+    let _serial = serial_multi_contains();
+    let before = names_total(&mut c);
+    let lists = c.multi_contains(&probes).unwrap();
+    let returned: usize = lists.iter().map(Vec::len).sum();
+    assert!(returned >= 300, "every held key names its three filters");
+    assert_eq!(names_total(&mut c) - before, returned as f64);
     // A blob-CREATE has keys the index cannot enumerate, so it raises
     // the saturated gauge; its FORGET lowers it again.
     let saturated = |c: &mut FilterClient| {
@@ -757,13 +750,12 @@ fn metrics_exposition_is_valid_and_spans_layers() {
     assert!(expo.value("bb_server_pipelined_depth").unwrap() >= 1.0);
     assert_eq!(expo.value("bb_server_accept_errors_total").unwrap(), 0.0);
     assert!(expo.value("bb_server_keys_processed_total").unwrap() >= 15_000.0);
-    assert!(expo.value("bb_server_request_latency_ns_count").unwrap() > 0.0);
     // Approximate: CQF key counts can undercount by fingerprint
     // collisions merging distinct keys.
     assert!(expo.labeled_sum("bb_filter_keys", "mx-cqf") >= 4_950.0);
     // Zero threshold: every request is slow, so the slow counter
     // moved and the log rendered entries (the slow log is engine
-    // state, not telemetry, so it works in every build mode).
+    // state, not telemetry, so the runtime switch does not gate it).
     let stats = c.stats().unwrap();
     assert!(stats.counters.slow_requests > 0);
     assert!(
@@ -806,12 +798,10 @@ fn metrics_exposition_is_valid_and_spans_layers() {
         expo.value("bb_slow_log_dropped").unwrap() > 0.0,
         "slow log wrapped >300 entries past its 256 cap:\n{text}"
     );
-    if !compiled_out {
-        assert!(
-            expo.value("bb_events_dropped").unwrap() > 0.0,
-            "event ring wrapped after 1100 emits into 1024 slots"
-        );
-    }
+    assert!(
+        expo.value("bb_events_dropped").unwrap() > 0.0,
+        "event ring wrapped after 1100 emits into 1024 slots"
+    );
     drop(c);
     server.shutdown();
 
@@ -1601,9 +1591,6 @@ fn check_chrome_json(json_text: &str, trace_id: u64, expect_flow: bool) {
 
 #[test]
 fn trace_route_assembles_one_cross_process_trace() {
-    if beyond_bloom::telemetry::compiled_out() {
-        return; // tracing compiles out with telemetry-off
-    }
     let _serial = serial_multi_contains();
     let node_a = EventedFilterServer::bind("127.0.0.1:0", test_config()).expect("bind a");
     let node_b = EventedFilterServer::bind("127.0.0.1:0", test_config()).expect("bind b");

@@ -7,7 +7,7 @@
 //! hammer the level-explicit `*_at` entry points with 10k+ random
 //! inputs per primitive across every tier the host supports
 //! (`usable_levels` skips undetected tiers gracefully), and pin the
-//! `BEYOND_BLOOM_FORCE_SCALAR` / `force_level` knobs the CI
+//! `BEYOND_BLOOM_FORCE_LEVEL` / `force_level` knobs the CI
 //! `simd-matrix` job and the E21/E25 harnesses rely on.
 
 use beyond_bloom::core::simd::{self, SimdLevel};
