@@ -31,8 +31,7 @@ pub mod two_choice;
 
 use telemetry::{StaticCounter, StaticHistogram};
 
-/// Stages added by scalable Bloom filters (each addition is also an
-/// [`telemetry::EventKind::Expansion`] event).
+/// Stages added by scalable Bloom filters.
 pub static SCALABLE_EXPANSIONS: StaticCounter = StaticCounter::new(
     "bb_bloom_scalable_expansions_total",
     "Stages added by scalable Bloom filters.",

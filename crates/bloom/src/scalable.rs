@@ -86,7 +86,6 @@ impl ScalableBloomFilter {
         self.stage_items.push(0);
         crate::SCALABLE_EXPANSIONS.inc();
         crate::SCALABLE_STAGE_CAPACITY.observe(cap as u64);
-        telemetry::emit(telemetry::EventKind::Expansion, i as u64, cap as u64);
     }
 }
 

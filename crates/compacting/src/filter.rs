@@ -47,7 +47,6 @@ use bloom::AtomicBlockedBloomFilter;
 use filter_core::hash::mix64;
 use filter_core::{BatchedFilter, ByteReader, ByteWriter, Filter, SerialError, PROBE_CHUNK};
 use lsm::{fp_bits_for, CompactionPolicy, FprAllocation};
-use telemetry::EventKind;
 use xorf::{BinaryFuseFilter, FuseArity};
 
 /// Snapshot-serialization magic.
@@ -543,7 +542,6 @@ impl Inner {
     fn seal(&self) -> bool {
         let mut guard = self.state.write().unwrap_or_else(|p| p.into_inner());
         let cur = Arc::clone(&guard);
-        let n_keys;
         {
             let mut log = lock(&cur.front.log);
             if log.sealed || log.keys.is_empty() {
@@ -554,7 +552,6 @@ impl Inner {
             // inline from insert/flush), so its thread-local trace —
             // if any — is the request this seal belongs to.
             log.handoff = telemetry::trace::handoff();
-            n_keys = log.keys.len();
         }
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         let mut sealed = cur.sealed.clone();
@@ -578,7 +575,6 @@ impl Inner {
         drop(guard);
         self.seals.fetch_add(1, Ordering::Relaxed);
         crate::SEALS.inc();
-        telemetry::emit(EventKind::TierSealed, n_keys as u64, epoch);
         self.cv.notify_all();
         true
     }
@@ -690,7 +686,6 @@ fn compact_once(inner: &Inner, full: bool) -> usize {
     inner.compactions.fetch_add(1, Ordering::Relaxed);
     crate::COMPACTIONS.inc();
     crate::TIERS.add(n_tiers as i64 - cur.tiers.len() as i64);
-    telemetry::emit(EventKind::TierCompacted, tier_keys as u64, n_tiers as u64);
     // Link the compaction back to every traced request whose seal it
     // drained — the cross-thread half of the trace (rendered as a
     // flow arrow in the Chrome trace viewer).

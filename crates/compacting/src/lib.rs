@@ -32,14 +32,14 @@ pub use filter::{
 };
 
 /// Fronts sealed (each seal hands one immutable memtable to the
-/// compactor; also an [`telemetry::EventKind::TierSealed`] event).
+/// compactor).
 pub static SEALS: StaticCounter = StaticCounter::new(
     "bb_compacting_seals_total",
     "Memtable fronts sealed for background compaction.",
 );
 
 /// Background compactions completed (each installs one rebuilt fuse
-/// tier; also a [`telemetry::EventKind::TierCompacted`] event).
+/// tier).
 pub static COMPACTIONS: StaticCounter = StaticCounter::new(
     "bb_compacting_compactions_total",
     "Background tier compactions completed.",

@@ -55,8 +55,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use telemetry::StaticCounter;
 
-/// Shard mutexes recovered after their holder panicked (each recovery
-/// is also a [`telemetry::EventKind::ShardPoisonRecovered`] event).
+/// Shard mutexes recovered after their holder panicked.
 pub static POISON_RECOVERIES: StaticCounter = StaticCounter::new(
     "bb_sharded_lock_poison_recoveries_total",
     "Shard mutexes recovered after a holder thread panicked.",
@@ -170,12 +169,10 @@ impl<F> Sharded<F> {
     pub fn into_shards(self) -> Vec<F> {
         self.shards
             .into_iter()
-            .enumerate()
-            .map(|(i, m)| match m.into_inner() {
+            .map(|m| match m.into_inner() {
                 Ok(f) => f,
                 Err(poisoned) => {
                     POISON_RECOVERIES.inc();
-                    telemetry::emit(telemetry::EventKind::ShardPoisonRecovered, i as u64, 0);
                     poisoned.into_inner()
                 }
             })
@@ -239,7 +236,6 @@ impl<F> Sharded<F> {
             Ok(g) => g,
             Err(poisoned) => {
                 POISON_RECOVERIES.inc();
-                telemetry::emit(telemetry::EventKind::ShardPoisonRecovered, i as u64, 0);
                 poisoned.into_inner()
             }
         };

@@ -275,24 +275,11 @@ impl InsertFilter for CuckooFilter {
             bucket = self.alt_bucket(bucket, fp);
             if self.try_place(bucket, fp) {
                 self.items += 1;
-                let chain = kick as u64 + 1;
-                crate::KICK_CHAIN_LEN.observe(chain);
-                if chain >= 64 {
-                    telemetry::emit(
-                        telemetry::EventKind::CuckooKickChain,
-                        chain,
-                        self.items as u64,
-                    );
-                }
+                crate::KICK_CHAIN_LEN.observe(kick as u64 + 1);
                 return Ok(());
             }
         }
         crate::INSERT_FAILURES.inc();
-        telemetry::emit(
-            telemetry::EventKind::CuckooInsertFailed,
-            MAX_KICKS as u64,
-            self.items as u64,
-        );
         // Undo is impossible without a stash; report failure. The
         // displaced chain still represents inserted keys, but the
         // final victim has lost a home — restore it by swapping back

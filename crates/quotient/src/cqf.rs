@@ -395,11 +395,6 @@ impl CountingQuotientFilter {
             // writing anything, so expanding and retrying is safe.
             if matches!(e, FilterError::CapacityExceeded) {
                 crate::CQF_CLUSTER_SPILLS.inc();
-                telemetry::emit(
-                    telemetry::EventKind::CqfClusterSpill,
-                    self.table.used_slots() as u64,
-                    self.table.capacity() as u64,
-                );
             }
             if matches!(e, FilterError::CapacityExceeded) && self.auto_expand {
                 self.expand()?;
@@ -531,11 +526,6 @@ impl Expandable for CountingQuotientFilter {
         self.r = new_r;
         self.expansions += 1;
         crate::CQF_EXPANSIONS.inc();
-        telemetry::emit(
-            telemetry::EventKind::Expansion,
-            new_q as u64,
-            self.table.capacity() as u64,
-        );
         // Distinct count may shrink on merges; recompute lazily is
         // costly, so recount during the rebuild instead.
         let mut distinct = 0usize;

@@ -41,7 +41,7 @@ pub static CQF_EXPANSIONS: StaticCounter = StaticCounter::new(
 );
 
 /// CQF run edits rejected because a cluster spilled past the table's
-/// physical padding (each is a [`telemetry::EventKind::CqfClusterSpill`]).
+/// physical padding.
 pub static CQF_CLUSTER_SPILLS: StaticCounter = StaticCounter::new(
     "bb_cqf_cluster_spills_total",
     "CQF run edits rejected by a cluster spilling past table padding.",

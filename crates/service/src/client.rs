@@ -264,7 +264,8 @@ impl FilterClient {
         Self::expect_bools(resp)
     }
 
-    /// Fetch the server metrics snapshot and filter inventory.
+    /// Fetch the server's filter inventory (its counters are METRICS
+    /// families: see [`FilterClient::metrics_text`]).
     pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
         let resp = self.call(&Request::Stats)?;
         Self::expect_stats(resp)
@@ -285,7 +286,7 @@ impl FilterClient {
     /// SNAPSHOT: serialize a served filter into a portable blob. The
     /// returned `(backend, bytes)` pair feeds
     /// [`FilterClient::create_prebuilt`] on another server — the
-    /// cluster layer's migration/replication primitive.
+    /// cluster layer's migration primitive.
     pub fn snapshot(&mut self, name: &str) -> Result<(Backend, Vec<u8>), ClientError> {
         let resp = self.call(&Request::Snapshot {
             name: name.to_string(),

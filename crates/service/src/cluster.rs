@@ -25,8 +25,7 @@
 //! envelope), blob-CREATE on the new owner (`from_bytes`), FORGET on
 //! the old owner. The blob preserves shard structure and per-shard
 //! seeds, so a migrated filter answers every probe bit-identically to
-//! the original. [`ClusterClient::replicate`] ships the same snapshot
-//! to ring successors instead, for read replicas.
+//! the original.
 //!
 //! # Fan-out
 //!
@@ -92,28 +91,13 @@ impl HashRing {
     /// The node index owning `name`: the first ring point clockwise
     /// from the name's hash (wrapping at the top).
     pub fn owner(&self, name: &str) -> usize {
-        self.walk(name).next().expect("ring has at least one point")
-    }
-
-    /// Distinct node indices in ring order starting at `name`'s owner
-    /// — the owner first, then the replica candidates.
-    pub fn successors(&self, name: &str) -> Vec<usize> {
-        let mut seen = Vec::new();
-        for idx in self.walk(name) {
-            if !seen.contains(&idx) {
-                seen.push(idx);
-            }
-        }
-        seen
-    }
-
-    /// Walk ring points clockwise from `name`'s hash, yielding node
-    /// indices (with repeats; one full lap).
-    fn walk(&self, name: &str) -> impl Iterator<Item = usize> + '_ {
         let h = ring_hash(name.as_bytes());
-        let start = self.points.partition_point(|&(p, _)| p < h);
-        let n = self.points.len();
-        (0..n).map(move |i| self.points[(start + i) % n].1)
+        let at = self.points.partition_point(|&(p, _)| p < h);
+        self.points
+            .get(at)
+            .or(self.points.first())
+            .expect("ring has at least one point")
+            .1
     }
 }
 
@@ -236,15 +220,6 @@ impl ClusterClient {
         self.nodes[self.ring.owner(name)].addr
     }
 
-    /// Owner first, then replica-candidate addresses in ring order.
-    pub fn successor_addrs(&self, name: &str) -> Vec<SocketAddr> {
-        self.ring
-            .successors(name)
-            .into_iter()
-            .map(|i| self.nodes[i].addr)
-            .collect()
-    }
-
     fn conn(&mut self, idx: usize) -> Result<&mut FilterClient, ClusterError> {
         let node = &mut self.nodes[idx];
         if node.conn.is_none() {
@@ -344,8 +319,8 @@ impl ClusterClient {
     /// MULTI_CONTAINS across the whole cluster: every node owns a
     /// disjoint slice of the name space, so the query fans out to
     /// each node's Bloofi index, all nodes at once, and the per-key
-    /// name lists are merged (sorted, deduplicated — replicas of a
-    /// filter on several nodes still answer once). `out[i]` answers
+    /// name lists are merged (sorted, deduplicated — a name registered
+    /// on several nodes still answers once). `out[i]` answers
     /// `keys[i]` over every filter registered anywhere in the
     /// cluster.
     pub fn multi_contains(&mut self, keys: &[u64]) -> Result<Vec<Vec<String>>, ClusterError> {
@@ -484,28 +459,6 @@ impl ClusterClient {
         }
         spans.sort_by_key(|s: &SpanRecord| s.start_us);
         Ok(Trace { trace_id, spans })
-    }
-
-    /// Ship `name`'s snapshot to its next `copies` ring successors as
-    /// same-name read replicas (blob-CREATE under the identical
-    /// name on other nodes — registries are per-node, so names don't
-    /// collide). Returns the replica addresses. Replicas are static
-    /// copies: they serve reads if the owner is lost, but do not see
-    /// later inserts.
-    pub fn replicate(
-        &mut self,
-        name: &str,
-        copies: usize,
-    ) -> Result<Vec<SocketAddr>, ClusterError> {
-        let order = self.ring.successors(name);
-        let (backend, blob) = self.conn(order[0])?.snapshot(name)?;
-        let mut placed = Vec::new();
-        for &idx in order.iter().skip(1).take(copies) {
-            self.conn(idx)?
-                .create_prebuilt(name, backend, blob.clone())?;
-            placed.push(self.nodes[idx].addr);
-        }
-        Ok(placed)
     }
 
     /// Add a member: rebuild the ring, then migrate exactly the
@@ -656,19 +609,6 @@ mod tests {
             (500..4_000).contains(&moved),
             "moved {moved} of {k} on a 4→5 add"
         );
-    }
-
-    #[test]
-    fn successors_lead_with_owner_and_cover_every_node() {
-        let ring = HashRing::build(&addrs(4), 64);
-        for i in 0..100 {
-            let name = format!("f{i}");
-            let succ = ring.successors(&name);
-            assert_eq!(succ[0], ring.owner(&name));
-            let mut sorted = succ.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, vec![0, 1, 2, 3], "successors {succ:?}");
-        }
     }
 
     #[test]

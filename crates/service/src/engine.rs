@@ -96,9 +96,10 @@ pub struct ServerConfig {
     /// allocates at most ~2.3 GB: 2.32 GB for the sharded CQF, 0.24
     /// to 2.15 GB for the other backends.
     pub max_capacity: u64,
-    /// Requests slower than this land in the slow-request log (and
-    /// bump the slow-request counters). METRICS renders the log as
-    /// `# slow ...` comment lines with opcode/backend/batch context.
+    /// Requests slower than this land in the slow-request log, whose
+    /// length is `bb_server_slow_requests_total`. METRICS renders the
+    /// log as `# slow ...` comment lines with opcode/backend/batch
+    /// context.
     pub slow_request_threshold: Duration,
     /// Close a connection that has not delivered a complete frame for
     /// this long (`None` disables the deadline). Dribbling bytes of a
@@ -289,7 +290,7 @@ pub struct ReqInfo {
 }
 
 impl ReqInfo {
-    /// Pack into the event ring's second payload slot:
+    /// Pack into one `u64` for a slow-log entry:
     /// `op << 56 | (backend_tag + 1) << 48 | batch` (backend 0 means
     /// "none").
     fn packed(self) -> u64 {
@@ -324,10 +325,9 @@ pub(crate) struct SlowEntry {
     pub trace_id: u64,
 }
 
-/// Bounded newest-first slow-request log. Unlike the telemetry
-/// [`telemetry::EventRing`] it previously rode on, entries carry the
-/// peer address and trace id, and overwrites on wrap are counted
-/// (`dropped`) instead of silent.
+/// Bounded newest-first slow-request log. Entries carry the peer
+/// address and trace id, overwrites on wrap are counted (`dropped`),
+/// and `emitted` is the server's slow-request count.
 pub(crate) struct SlowLog {
     cap: usize,
     emitted: AtomicU64,
@@ -605,11 +605,12 @@ impl Engine {
             .collect()
     }
 
-    /// Account one fully-served request: latency histogram, slow
-    /// counter, and the slow-request log. The server calls this after
-    /// the response is queued, passing the request guard's trace id —
-    /// minted on demand for slow requests — so the slow-log line and
-    /// the tail-captured trace share an id. Public for the same reason as
+    /// Account one fully-served request: the latency histogram, and
+    /// the slow-request log (whose length is the slow counter). The
+    /// server calls this after the response is queued, passing the
+    /// request guard's trace id — minted on demand for slow requests,
+    /// 0 when no trace will be stored — so the slow-log line and the
+    /// tail-captured trace share an id. Public for the same reason as
     /// [`dispatch`]: the E27 bench harness drives the exact per-frame
     /// accounting path in-process, without sockets.
     pub fn record_request(
@@ -621,7 +622,6 @@ impl Engine {
     ) {
         self.metrics.request_latency.record(dt);
         if dt >= self.config.slow_request_threshold {
-            self.metrics.slow_requests.inc();
             self.slowlog.emit(
                 dt.as_nanos().min(u64::MAX as u128) as u64,
                 info.packed(),
@@ -1076,92 +1076,8 @@ const MAX_INVENTORY_SERIES: usize = 64;
 /// (free-standing comments are legal Prometheus text).
 pub(crate) fn render_metrics(engine: &Engine) -> String {
     let mut out = telemetry::render_registry();
-    let m = &engine.metrics;
     let mut r = TextRenderer::new();
-    for (name, help, v) in [
-        (
-            "bb_server_connections_opened_total",
-            "Connections accepted.",
-            m.connections_opened.get(),
-        ),
-        (
-            "bb_server_connections_closed_total",
-            "Connections fully torn down.",
-            m.connections_closed.get(),
-        ),
-        (
-            "bb_server_frames_received_total",
-            "Complete frames received.",
-            m.frames_received.get(),
-        ),
-        (
-            "bb_server_responses_sent_total",
-            "Response frames written.",
-            m.responses_sent.get(),
-        ),
-        (
-            "bb_server_protocol_errors_total",
-            "Malformed payloads, bad versions, unknown opcodes, oversized frames.",
-            m.protocol_errors.get(),
-        ),
-        (
-            "bb_server_disconnects_mid_frame_total",
-            "Peers that vanished in the middle of a frame.",
-            m.disconnects_mid_frame.get(),
-        ),
-        (
-            "bb_server_error_responses_total",
-            "Requests answered with an error response.",
-            m.error_responses.get(),
-        ),
-        (
-            "bb_server_keys_processed_total",
-            "Keys processed across INSERT/CONTAINS/COUNT/DELETE batches.",
-            m.keys_processed.get(),
-        ),
-        (
-            "bb_server_batched_ops_total",
-            "Keys served through the batched probe kernels.",
-            m.batched_ops.get(),
-        ),
-        (
-            "bb_server_bytes_in_total",
-            "Payload bytes read.",
-            m.bytes_in.get(),
-        ),
-        (
-            "bb_server_bytes_out_total",
-            "Payload bytes written.",
-            m.bytes_out.get(),
-        ),
-        (
-            "bb_server_slow_requests_total",
-            "Requests slower than the slow-request threshold.",
-            m.slow_requests.get(),
-        ),
-        (
-            "bb_server_accept_errors_total",
-            "accept(2) calls that returned a real error.",
-            m.accept_errors.get(),
-        ),
-    ] {
-        r.counter(name, help, v);
-    }
-    r.gauge(
-        "bb_server_open_connections",
-        "Connections currently open on this server.",
-        m.open_connections.get(),
-    );
-    r.gauge(
-        "bb_server_pipelined_depth",
-        "Deepest single-drain pipelining observed on any connection.",
-        m.pipelined_depth.get(),
-    );
-    r.histogram(
-        "bb_server_request_latency_ns",
-        "Server-side request service time (decode to response written).",
-        &m.request_latency.snapshot(),
-    );
+    engine.metrics.render(&mut r, engine.slowlog.emitted());
 
     // The index gauges describe this server's index, so they render
     // from it (a process-wide gauge would mix the indexes of servers
@@ -1241,13 +1157,8 @@ pub(crate) fn render_metrics(engine: &Engine) -> String {
     }
     drop(filters);
 
-    // Overwrite accounting for the bounded in-memory logs: how many
-    // entries each has silently discarded since start (0 until wrap).
-    r.counter(
-        "bb_events_dropped",
-        "Events overwritten by wrap in the global telemetry event ring.",
-        telemetry::events().dropped(),
-    );
+    // Overwrite accounting for the bounded slow log: how many entries
+    // it has discarded since start (0 until wrap).
     r.counter(
         "bb_slow_log_dropped",
         "Slow-request log entries overwritten by wrap.",
@@ -1288,10 +1199,7 @@ fn handle_stats(engine: &Engine) -> Response {
             size_in_bytes: f.size_in_bytes() as u64,
         })
         .collect();
-    Response::Stats(StatsReport {
-        counters: engine.metrics.snapshot(),
-        filters,
-    })
+    Response::Stats(StatsReport { filters })
 }
 
 #[cfg(test)]

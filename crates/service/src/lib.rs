@@ -15,9 +15,9 @@
 //!    no prometheus client. Serialization reuses
 //!    `filter_core::serial`, and observability is the in-tree
 //!    `telemetry` crate (atomic counters + fixed-bucket latency
-//!    histograms) exposed two ways: a compact binary STATS frame and
-//!    a Prometheus-text METRICS frame carrying every registered
-//!    family, the filter inventory, and the slow-request log.
+//!    histograms) exposed as a Prometheus-text METRICS frame carrying
+//!    every registered family, this server's counters, the filter
+//!    inventory, and the slow-request log. STATS lists the filters.
 //! 2. **Batching as the unit of amortisation.** A frame carries a
 //!    whole batch of keys; the server answers a batch CONTAINS with
 //!    one registry lookup and one shard-grouped filter call
@@ -38,7 +38,7 @@
 //! graceful shutdown),
 //! [`cluster`] (consistent-hash routing + snapshot migration),
 //! [`client`] (blocking request/response client), [`metrics`]
-//! (counters, histograms, STATS report).
+//! (the server's counters, the STATS inventory).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -58,7 +58,5 @@ pub use engine::{
     ServedFilter, ServerConfig,
 };
 pub use evented::EventedFilterServer;
-pub use metrics::{
-    CountersSnapshot, FilterRow, HistogramSnapshot, LatencyHistogram, ServerMetrics, StatsReport,
-};
+pub use metrics::{FilterRow, HistogramSnapshot, LatencyHistogram, ServerMetrics, StatsReport};
 pub use proto::{Backend, ErrorCode, Request, Response, DEFAULT_MAX_FRAME, PROTO_VERSION};

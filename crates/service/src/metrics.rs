@@ -1,50 +1,37 @@
-//! In-tree observability: the server's counter set and latency
-//! histogram, exposed over the STATS frame.
+//! Each server's own counters and request-latency histogram, and the
+//! STATS filter inventory.
 //!
 //! The container builds offline, so there is no prometheus client to
-//! lean on; the value types now live in the `telemetry` crate and are
+//! lean on; the value types live in the `telemetry` crate and are
 //! shared with the filter-layer instrumentation — monotonic `Relaxed`
-//! counters (each is an independent statistic; cross-counter
-//! snapshots tolerate the same benign racing as `Sharded::len`) and a
+//! counters (each is an independent statistic; cross-counter reads
+//! tolerate the same benign racing as `Sharded::len`) and a
 //! fixed-bucket power-of-two latency histogram with an explicit
 //! bucket for exactly-zero samples (a sub-resolution duration must
 //! not alias the 1 ns bucket). Quantiles are reconstructed from
 //! bucket boundaries, so a reported p99 is an upper bound within one
 //! power of two — the honest resolution for a histogram this cheap.
 //!
-//! The same counters also feed the Prometheus-text METRICS exposition
-//! (see `engine::render_metrics`); STATS remains the compact binary
-//! path for programmatic clients.
+//! One read path per signal: METRICS renders the counters as the
+//! `bb_server_*` families (`ServerMetrics::render`), and STATS
+//! carries only the filter inventory ([`StatsReport`]). This module
+//! owns the whole counter set, so a new server counter is a field on
+//! [`ServerMetrics`] plus its row in `render`.
 
 use filter_core::{ByteReader, ByteWriter, SerialError};
+use telemetry::expo::TextRenderer;
 
 pub use telemetry::{Counter, Gauge, HistogramSnapshot, HISTOGRAM_BUCKETS};
 
 /// The latency histogram type (shared with the telemetry layer).
 pub type LatencyHistogram = telemetry::Histogram;
 
-/// Serialize a histogram snapshot for the STATS frame
-/// (length-prefixed bucket counts, then the running sum).
-pub fn serialize_histogram(snap: &HistogramSnapshot, w: &mut ByteWriter) {
-    w.put_u64_slice(snap.counts());
-    w.put_u64(snap.sum());
-}
-
-/// Deserialize a histogram snapshot from a STATS frame.
-pub fn deserialize_histogram(r: &mut ByteReader<'_>) -> Result<HistogramSnapshot, SerialError> {
-    let counts = r.take_u64_vec()?;
-    if counts.len() > HISTOGRAM_BUCKETS {
-        return Err(SerialError::Corrupt("histogram bucket count"));
-    }
-    let sum = r.take_u64()?;
-    Ok(HistogramSnapshot::from_parts(counts, sum))
-}
-
 /// The server-side counter set. All counters are monotone and
-/// `Relaxed`; a snapshot is a consistent-enough racing read. These are
-/// *instance* values (not static registry handles) so every server in
-/// a process gets its own set — the METRICS renderer folds them into
-/// the exposition per server.
+/// `Relaxed`; reading several is a consistent-enough racing read.
+/// These are *instance* values (not static registry handles) so every
+/// server in a process gets its own set — the METRICS renderer folds
+/// them into the exposition per server. A server in the same process
+/// reads them directly (`EventedFilterServer::metrics`).
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
     /// Connections accepted.
@@ -74,9 +61,6 @@ pub struct ServerMetrics {
     pub bytes_in: Counter,
     /// Payload bytes written.
     pub bytes_out: Counter,
-    /// Requests whose service time exceeded the server's slow-request
-    /// threshold (each also lands in the slow-request log).
-    pub slow_requests: Counter,
     /// `accept(2)` calls that returned a real error (not
     /// `WouldBlock`): fd exhaustion, aborted handshakes.
     pub accept_errors: Counter,
@@ -96,26 +80,94 @@ impl ServerMetrics {
         Self::default()
     }
 
-    /// Snapshot every counter plus the latency histogram.
-    pub fn snapshot(&self) -> CountersSnapshot {
-        CountersSnapshot {
-            connections_opened: self.connections_opened.get(),
-            connections_closed: self.connections_closed.get(),
-            frames_received: self.frames_received.get(),
-            responses_sent: self.responses_sent.get(),
-            protocol_errors: self.protocol_errors.get(),
-            disconnects_mid_frame: self.disconnects_mid_frame.get(),
-            error_responses: self.error_responses.get(),
-            keys_processed: self.keys_processed.get(),
-            batched_ops: self.batched_ops.get(),
-            bytes_in: self.bytes_in.get(),
-            bytes_out: self.bytes_out.get(),
-            slow_requests: self.slow_requests.get(),
-            accept_errors: self.accept_errors.get(),
-            open_connections: self.open_connections.get(),
-            pipelined_depth: self.pipelined_depth.get(),
-            request_latency: self.request_latency.snapshot(),
+    /// Render the `bb_server_*` families into a METRICS exposition.
+    /// `slow_requests` is the slow-request log's count of entries ever
+    /// logged: the log is the one record of a slow request.
+    pub(crate) fn render(&self, r: &mut TextRenderer, slow_requests: u64) {
+        for (name, help, v) in [
+            (
+                "bb_server_connections_opened_total",
+                "Connections accepted.",
+                self.connections_opened.get(),
+            ),
+            (
+                "bb_server_connections_closed_total",
+                "Connections fully torn down.",
+                self.connections_closed.get(),
+            ),
+            (
+                "bb_server_frames_received_total",
+                "Complete frames received.",
+                self.frames_received.get(),
+            ),
+            (
+                "bb_server_responses_sent_total",
+                "Response frames written.",
+                self.responses_sent.get(),
+            ),
+            (
+                "bb_server_protocol_errors_total",
+                "Malformed payloads, bad versions, unknown opcodes, oversized frames.",
+                self.protocol_errors.get(),
+            ),
+            (
+                "bb_server_disconnects_mid_frame_total",
+                "Peers that vanished in the middle of a frame.",
+                self.disconnects_mid_frame.get(),
+            ),
+            (
+                "bb_server_error_responses_total",
+                "Requests answered with an error response.",
+                self.error_responses.get(),
+            ),
+            (
+                "bb_server_keys_processed_total",
+                "Keys processed across INSERT/CONTAINS/COUNT/DELETE batches.",
+                self.keys_processed.get(),
+            ),
+            (
+                "bb_server_batched_ops_total",
+                "Keys served through the batched probe kernels.",
+                self.batched_ops.get(),
+            ),
+            (
+                "bb_server_bytes_in_total",
+                "Payload bytes read.",
+                self.bytes_in.get(),
+            ),
+            (
+                "bb_server_bytes_out_total",
+                "Payload bytes written.",
+                self.bytes_out.get(),
+            ),
+            (
+                "bb_server_slow_requests_total",
+                "Requests slower than the slow-request threshold.",
+                slow_requests,
+            ),
+            (
+                "bb_server_accept_errors_total",
+                "accept(2) calls that returned a real error.",
+                self.accept_errors.get(),
+            ),
+        ] {
+            r.counter(name, help, v);
         }
+        r.gauge(
+            "bb_server_open_connections",
+            "Connections currently open on this server.",
+            self.open_connections.get(),
+        );
+        r.gauge(
+            "bb_server_pipelined_depth",
+            "Deepest single-drain pipelining observed on any connection.",
+            self.pipelined_depth.get(),
+        );
+        r.histogram(
+            "bb_server_request_latency_ns",
+            "Server-side request service time (decode to response written).",
+            &self.request_latency.snapshot(),
+        );
     }
 
     /// Raise a watermark gauge to at least `v`. Racing updates can
@@ -125,92 +177,6 @@ impl ServerMetrics {
         if v > self.pipelined_depth.get() {
             self.pipelined_depth.set(v);
         }
-    }
-}
-
-/// An owned, serializable copy of [`ServerMetrics`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CountersSnapshot {
-    /// Connections accepted.
-    pub connections_opened: u64,
-    /// Connections fully torn down.
-    pub connections_closed: u64,
-    /// Complete frames received.
-    pub frames_received: u64,
-    /// Response frames written.
-    pub responses_sent: u64,
-    /// Protocol-level failures (malformed, oversized, bad version).
-    pub protocol_errors: u64,
-    /// Peers that vanished mid-frame.
-    pub disconnects_mid_frame: u64,
-    /// Error responses sent.
-    pub error_responses: u64,
-    /// Keys processed across all batch operations.
-    pub keys_processed: u64,
-    /// Keys served through the batched probe kernels (multi-key
-    /// INSERT/CONTAINS requests).
-    pub batched_ops: u64,
-    /// Payload bytes read.
-    pub bytes_in: u64,
-    /// Payload bytes written.
-    pub bytes_out: u64,
-    /// Requests slower than the slow-request threshold.
-    pub slow_requests: u64,
-    /// Failed `accept(2)` calls.
-    pub accept_errors: u64,
-    /// Connections open at snapshot time.
-    pub open_connections: i64,
-    /// Deepest single-drain pipelining observed on any connection.
-    pub pipelined_depth: i64,
-    /// Server-side service-time histogram.
-    pub request_latency: HistogramSnapshot,
-}
-
-impl CountersSnapshot {
-    fn serialize(&self, w: &mut ByteWriter) {
-        for v in [
-            self.connections_opened,
-            self.connections_closed,
-            self.frames_received,
-            self.responses_sent,
-            self.protocol_errors,
-            self.disconnects_mid_frame,
-            self.error_responses,
-            self.keys_processed,
-            self.batched_ops,
-            self.bytes_in,
-            self.bytes_out,
-            self.slow_requests,
-        ] {
-            w.put_u64(v);
-        }
-        serialize_histogram(&self.request_latency, w);
-        // Appended after the histogram so the field block above keeps
-        // its original offsets (wire-compatible extension).
-        w.put_u64(self.accept_errors);
-        w.put_u64(self.open_connections as u64);
-        w.put_u64(self.pipelined_depth as u64);
-    }
-
-    fn deserialize(r: &mut ByteReader<'_>) -> Result<Self, SerialError> {
-        Ok(CountersSnapshot {
-            connections_opened: r.take_u64()?,
-            connections_closed: r.take_u64()?,
-            frames_received: r.take_u64()?,
-            responses_sent: r.take_u64()?,
-            protocol_errors: r.take_u64()?,
-            disconnects_mid_frame: r.take_u64()?,
-            error_responses: r.take_u64()?,
-            keys_processed: r.take_u64()?,
-            batched_ops: r.take_u64()?,
-            bytes_in: r.take_u64()?,
-            bytes_out: r.take_u64()?,
-            slow_requests: r.take_u64()?,
-            request_latency: deserialize_histogram(r)?,
-            accept_errors: r.take_u64()?,
-            open_connections: r.take_u64()? as i64,
-            pipelined_depth: r.take_u64()? as i64,
-        })
     }
 }
 
@@ -227,11 +193,10 @@ pub struct FilterRow {
     pub size_in_bytes: u64,
 }
 
-/// The full STATS response body: counters plus filter inventory.
+/// The STATS response body: the filter inventory. The server's
+/// counters are METRICS families, not part of STATS.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StatsReport {
-    /// Server-wide counters and latency.
-    pub counters: CountersSnapshot,
     /// One row per registered filter, in name order.
     pub filters: Vec<FilterRow>,
 }
@@ -239,7 +204,6 @@ pub struct StatsReport {
 impl StatsReport {
     /// Serialize into a STATS frame body.
     pub fn serialize(&self, w: &mut ByteWriter) {
-        self.counters.serialize(w);
         w.put_u64(self.filters.len() as u64);
         for row in &self.filters {
             w.put_bytes(row.name.as_bytes());
@@ -251,7 +215,6 @@ impl StatsReport {
 
     /// Deserialize from a STATS frame body.
     pub fn deserialize(r: &mut ByteReader<'_>) -> Result<Self, SerialError> {
-        let counters = CountersSnapshot::deserialize(r)?;
         let n = r.take_u64()? as usize;
         if n > 1 << 20 {
             return Err(SerialError::Corrupt("stats filter count"));
@@ -267,7 +230,7 @@ impl StatsReport {
                 size_in_bytes: r.take_u64()?,
             });
         }
-        Ok(StatsReport { counters, filters })
+        Ok(StatsReport { filters })
     }
 }
 
@@ -330,41 +293,36 @@ mod tests {
     }
 
     #[test]
-    fn stats_report_roundtrip() {
-        let h = LatencyHistogram::new();
-        h.record(Duration::from_micros(3));
+    fn pipelined_depth_is_a_watermark() {
         let m = ServerMetrics::new();
-        m.connections_opened.add(5);
-        m.frames_received.add(100);
-        m.keys_processed.add(4096);
-        m.batched_ops.add(4000);
-        m.slow_requests.inc();
-        m.accept_errors.inc();
-        m.open_connections.add(3);
         m.raise_pipelined_depth(7);
-        m.raise_pipelined_depth(2); // watermark: lower values don't regress it
+        m.raise_pipelined_depth(2); // lower values don't regress it
+        assert_eq!(m.pipelined_depth.get(), 7);
+    }
+
+    #[test]
+    fn stats_report_roundtrip() {
         let report = StatsReport {
-            counters: CountersSnapshot {
-                request_latency: h.snapshot(),
-                ..m.snapshot()
-            },
-            filters: vec![FilterRow {
-                name: "urls".into(),
-                backend: crate::proto::Backend::AtomicBloom,
-                len: 1_000,
-                size_in_bytes: 2_048,
-            }],
+            filters: vec![
+                FilterRow {
+                    name: "urls".into(),
+                    backend: crate::proto::Backend::AtomicBloom,
+                    len: 1_000,
+                    size_in_bytes: 2_048,
+                },
+                FilterRow {
+                    name: "kmers".into(),
+                    backend: crate::proto::Backend::ShardedCqf,
+                    len: 7,
+                    size_in_bytes: 64,
+                },
+            ],
         };
         let mut w = ByteWriter::new();
         report.serialize(&mut w);
         let bytes = w.into_bytes();
         let back = StatsReport::deserialize(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(back, report);
-        assert_eq!(back.counters.slow_requests, 1);
-        assert_eq!(back.counters.accept_errors, 1);
-        assert_eq!(back.counters.open_connections, 3);
-        assert_eq!(back.counters.pipelined_depth, 7);
-        assert_eq!(back.counters.request_latency.sum(), 3_000);
         // Truncations error cleanly.
         for cut in 0..bytes.len() {
             assert!(StatsReport::deserialize(&mut ByteReader::new(&bytes[..cut])).is_err());

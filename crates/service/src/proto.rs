@@ -17,7 +17,7 @@
 //! `filter_core::serial`'s little-endian codec:
 //!
 //! ```text
-//! u32 magic (0xBBF117AA) | u32 version (1) | u32 opcode | body...
+//! u32 magic (0xBBF117AA) | u32 version (2) | u32 opcode | body...
 //! ```
 //!
 //! Requests carry a filter name (length-prefixed UTF-8, ≤ 255 bytes)
@@ -43,7 +43,8 @@ use telemetry::trace::{SpanRecord, Trace, TraceContext};
 pub const PROTO_MAGIC: u32 = 0xBBF1_17AA;
 /// Current protocol version. Bump on any incompatible frame change;
 /// servers reject other versions with [`ErrorCode::UnsupportedVersion`].
-pub const PROTO_VERSION: u32 = 1;
+/// Version 2: the STATS answer is the filter inventory alone.
+pub const PROTO_VERSION: u32 = 2;
 /// Default upper bound on a frame payload (8 MiB ≈ one million keys
 /// per batch); both sides refuse larger length prefixes outright.
 pub const DEFAULT_MAX_FRAME: u32 = 8 * 1024 * 1024;
@@ -274,7 +275,7 @@ pub enum Request {
         /// Keys to remove.
         keys: Vec<u64>,
     },
-    /// Server metrics and the filter inventory.
+    /// The filter inventory; answered by [`Response::Stats`].
     Stats,
     /// Prometheus-text metric exposition (every registered telemetry
     /// family, server request counters, the filter inventory as
@@ -283,7 +284,7 @@ pub enum Request {
     Metrics,
     /// Serialize a registered filter into a portable blob; answered
     /// by [`Response::Blob`]. Pairs with blob-CREATE on another node
-    /// to ship a filter across the cluster (migration/replication).
+    /// to ship a filter across the cluster (migration).
     Snapshot {
         /// Filter to serialize.
         name: String,
@@ -321,7 +322,7 @@ pub enum Response {
     Bools(Vec<bool>),
     /// Per-key multiplicity answers, aligned with the request's keys.
     Counts(Vec<u64>),
-    /// Metrics snapshot plus filter inventory.
+    /// The filter inventory (the STATS answer).
     Stats(crate::metrics::StatsReport),
     /// A UTF-8 text document (the METRICS exposition).
     Text(String),

@@ -6,15 +6,14 @@
 //! the moment it is first touched — or eagerly, via each crate's
 //! `register_metrics()`, so families with zero traffic still render.
 
-use crate::events::{Event, EventKind};
 use crate::expo::TextRenderer;
 use crate::value::{Counter, Gauge, Histogram};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{LazyLock, Mutex, Once};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
 
-/// Runtime kill switch. Static-handle updates, event emission, span
-/// timers and the trace recorder check this; instance values do not.
+/// Runtime kill switch. Static-handle updates, span timers and the
+/// trace recorder check this; instance values do not.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Flip the runtime kill switch (the E22 overhead experiment measures
@@ -27,13 +26,6 @@ pub fn set_enabled(on: bool) {
 #[inline(always)]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Process start reference for event timestamps.
-static START: LazyLock<Instant> = LazyLock::new(Instant::now);
-
-fn now_us() -> u64 {
-    START.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
 enum AnyMetric {
@@ -232,125 +224,6 @@ impl Drop for Span {
     }
 }
 
-struct Slot {
-    seq: AtomicU64,
-    kind: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
-    t_us: AtomicU64,
-}
-
-impl Slot {
-    const fn empty() -> Self {
-        Slot {
-            seq: AtomicU64::new(0),
-            kind: AtomicU64::new(0),
-            a: AtomicU64::new(0),
-            b: AtomicU64::new(0),
-            t_us: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A lock-free fixed-size ring of structured events.
-///
-/// Writers claim a monotone ticket with one `fetch_add`, write the
-/// payload fields, then publish the ticket into the slot's `seq` with
-/// `Release`. Readers `Acquire`-load `seq`, copy the fields, and
-/// re-check `seq`; a slot overwritten mid-read fails the re-check and
-/// is skipped. Two writers that wrap the ring onto the same slot
-/// simultaneously can interleave field writes — the re-check catches
-/// the common case (ticket changed) but a reader can in principle
-/// observe a blend; events are diagnostics, so the structure trades
-/// that sliver of accuracy for never blocking a filter operation.
-pub struct EventRing {
-    slots: Box<[Slot]>,
-    head: AtomicU64,
-}
-
-impl EventRing {
-    /// Ring with `capacity` slots (rounded up to a power of two).
-    /// Oldest events are overwritten once the ring is full.
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.next_power_of_two().max(2);
-        EventRing {
-            slots: (0..cap).map(|_| Slot::empty()).collect(),
-            head: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Record one event (lock-free; overwrites the oldest slot when
-    /// full). Not gated on [`enabled`] — callers that want the kill
-    /// switch check it (the global [`emit`] does).
-    pub fn emit(&self, kind: EventKind, a: u64, b: u64) {
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket as usize) & (self.slots.len() - 1)];
-        slot.kind.store(kind as u64, Ordering::Relaxed);
-        slot.a.store(a, Ordering::Relaxed);
-        slot.b.store(b, Ordering::Relaxed);
-        slot.t_us.store(now_us(), Ordering::Relaxed);
-        // Publish: seq = ticket + 1 so 0 means "never written".
-        slot.seq.store(ticket + 1, Ordering::Release);
-    }
-
-    /// Total events ever emitted (including overwritten ones).
-    pub fn emitted(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
-    /// Events silently overwritten by ring wrap-around: everything
-    /// emitted beyond the newest `capacity()` events is gone.
-    pub fn dropped(&self) -> u64 {
-        self.emitted().saturating_sub(self.capacity() as u64)
-    }
-
-    /// Copy out the currently held events, oldest first. Torn slots
-    /// (overwritten while being read) are skipped.
-    pub fn snapshot(&self) -> Vec<Event> {
-        let mut out: Vec<Event> = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == 0 {
-                continue;
-            }
-            let ev = Event {
-                seq,
-                t_us: slot.t_us.load(Ordering::Relaxed),
-                kind: EventKind::from_u64(slot.kind.load(Ordering::Relaxed)),
-                a: slot.a.load(Ordering::Relaxed),
-                b: slot.b.load(Ordering::Relaxed),
-            };
-            if slot.seq.load(Ordering::Acquire) == seq {
-                out.push(ev);
-            }
-        }
-        out.sort_by_key(|e| e.seq);
-        out
-    }
-}
-
-/// The process-wide event ring (1024 slots).
-static GLOBAL_EVENTS: LazyLock<EventRing> = LazyLock::new(|| EventRing::new(1024));
-
-/// The process-wide event ring that filter-layer instrumentation
-/// emits into.
-pub fn events() -> &'static EventRing {
-    &GLOBAL_EVENTS
-}
-
-/// Emit into the global ring (no-op while disabled).
-#[inline]
-pub fn emit(kind: EventKind, a: u64, b: u64) {
-    if enabled() {
-        GLOBAL_EVENTS.emit(kind, a, b);
-    }
-}
-
 /// The kill switch (and the global trace store) are process-global;
 /// tests across this crate that read or write them serialize here so
 /// the parallel test harness cannot interleave a disabled window (or
@@ -406,53 +279,5 @@ mod tests {
             std::hint::black_box(0);
         }
         assert_eq!(SPANNED.get().count(), 1);
-    }
-
-    #[test]
-    fn ring_keeps_newest_and_orders_by_seq() {
-        let ring = EventRing::new(4);
-        for i in 0..10u64 {
-            ring.emit(EventKind::Expansion, i, 0);
-        }
-        let events = ring.snapshot();
-        assert_eq!(events.len(), 4);
-        let a: Vec<u64> = events.iter().map(|e| e.a).collect();
-        assert_eq!(a, vec![6, 7, 8, 9]);
-        assert_eq!(ring.emitted(), 10);
-        assert_eq!(ring.dropped(), 6, "wrap drops are counted");
-        assert!(events.iter().all(|e| e.kind == EventKind::Expansion));
-    }
-
-    #[test]
-    fn dropped_is_zero_until_the_ring_wraps() {
-        let ring = EventRing::new(8);
-        for i in 0..8u64 {
-            ring.emit(EventKind::Other, i, 0);
-            assert_eq!(ring.dropped(), 0);
-        }
-        ring.emit(EventKind::Other, 8, 0);
-        assert_eq!(ring.dropped(), 1);
-    }
-
-    #[test]
-    fn ring_survives_concurrent_writers() {
-        let ring = EventRing::new(64);
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let ring = &ring;
-                s.spawn(move || {
-                    for i in 0..1000 {
-                        ring.emit(EventKind::CuckooKickChain, t, i);
-                    }
-                });
-            }
-        });
-        assert_eq!(ring.emitted(), 4000);
-        let events = ring.snapshot();
-        assert!(!events.is_empty() && events.len() <= 64);
-        // Published events are well-formed, in seq order.
-        for w in events.windows(2) {
-            assert!(w[0].seq < w[1].seq);
-        }
     }
 }

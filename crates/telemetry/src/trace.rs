@@ -915,13 +915,16 @@ mod record {
     impl RequestGuard {
         /// The trace id this request records under (0 when inert). A
         /// lazy guard mints its id on the first call, so a slow-log
-        /// line and the tail-captured trace share one.
+        /// line and the tail-captured trace share one; while the
+        /// switch is off it answers 0, because its close will store
+        /// no trace under any id.
         pub fn trace_id(&self) -> u64 {
             match &self.inner {
                 Some(Inner::Root { .. }) => ACTIVE
                     .with(|a| a.borrow().as_ref().map(|t| t.trace_id))
                     .unwrap_or(0),
                 Some(Inner::Child(_)) => current_trace_id(),
+                Some(Inner::Lazy { .. }) if !crate::enabled() => 0,
                 Some(Inner::Lazy { trace_id, .. }) => {
                     if trace_id.get() == 0 {
                         trace_id.set(next_id());

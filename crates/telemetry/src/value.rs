@@ -1,10 +1,10 @@
 //! Instance metric value types: never switched off, never registered.
 //!
-//! These are plain data holders — the service's wire STATS path embeds
-//! them directly (`ServerMetrics`), so they keep counting even while
-//! the runtime switch (`set_enabled(false)`) silences the registry. The
-//! static *handles* in the crate root wrap these values with names and
-//! lazy registration.
+//! These are plain data holders — each server's counter set
+//! (`ServerMetrics`) embeds them directly, so they keep counting even
+//! while the runtime switch (`set_enabled(false)`) silences the
+//! registry. The static *handles* in the crate root wrap these values
+//! with names and lazy registration.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
@@ -148,8 +148,8 @@ impl Histogram {
     }
 }
 
-/// An owned copy of a histogram's bucket counts (serializable by the
-/// service's STATS codec, renderable by [`crate::expo`]).
+/// An owned copy of a histogram's bucket counts (renderable by
+/// [`crate::expo`], mergeable across histograms).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
     counts: Vec<u64>,
@@ -157,11 +157,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Rebuild from raw parts (the deserialization path).
-    pub fn from_parts(counts: Vec<u64>, sum: u64) -> Self {
-        HistogramSnapshot { counts, sum }
-    }
-
     /// Per-bucket counts (indexed as [`Histogram::bucket_of`]).
     pub fn counts(&self) -> &[u64] {
         &self.counts

@@ -1,7 +1,7 @@
 //! Cluster quickstart: three event-driven filter servers, a
 //! consistent-hash cluster client routing named filters across them,
-//! a live node join with shard migration, replication of a hot
-//! filter onto its ring successor, and a cluster-wide MULTI_CONTAINS.
+//! a live node join with shard migration, a node leaving with its
+//! filters re-homed, and a cluster-wide MULTI_CONTAINS.
 //!
 //! ```text
 //! cargo run --release --example cluster_quickstart
@@ -67,25 +67,34 @@ fn main() {
         keys.len()
     );
 
-    // Replicate tenant-0 onto its ring successor; a reader can then
-    // query the replica node directly.
-    let placed = cluster.replicate("tenant-0", 1).expect("replicate");
-    let mut direct = FilterClient::connect(placed[0]).expect("connect replica");
-    let replica_hits = direct
+    // The first node leaves: everything it held moves to the ring's
+    // remaining owners before it drops out, so it is left empty.
+    let leaver = node_a.local_addr();
+    let report = cluster.remove_node(leaver).expect("remove node");
+    println!(
+        "\nnode {leaver} left: {} filters migrated off it",
+        report.moved.len()
+    );
+    for m in &report.moved {
+        println!("  {} moved {} -> {}", m.name, m.from, m.to);
+    }
+    let mut direct = FilterClient::connect(leaver).expect("connect leaver");
+    let left_behind = direct.stats().expect("stats").filters.len();
+    assert_eq!(left_behind, 0, "a departed node keeps no filter");
+    let hits = cluster
         .contains("tenant-0", &keys)
-        .expect("replica contains")
+        .expect("contains")
         .iter()
         .filter(|&&b| b)
         .count();
     println!(
-        "replica on {} answers {replica_hits}/{} directly",
-        placed[0],
+        "tenant-0 after the leave: {hits}/{} keys answered present",
         keys.len()
     );
 
     // Which tenants hold these keys? MULTI_CONTAINS asks every node at
-    // once and merges their answers: tenant-0 now lives on two nodes
-    // (owner and replica), yet it is listed once.
+    // once and merges their answers; each tenant lives on one node, so
+    // tenant-0 is listed once.
     let lists = cluster.multi_contains(&keys[..4]).expect("multi_contains");
     println!("\ncluster-wide MULTI_CONTAINS:");
     for (key, names) in keys.iter().zip(&lists) {

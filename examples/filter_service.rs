@@ -1,7 +1,8 @@
 //! Filter-as-a-service quickstart: start a server on an ephemeral
 //! loopback port, create a Bloom instance over the wire, load it with
 //! a malicious-URL blocklist from the `workloads::urls` generator,
-//! query a mixed stream, and read back the server's STATS frame.
+//! query a mixed stream, read back the server's filter inventory
+//! (STATS), and read its counters in place.
 //!
 //! ```text
 //! cargo run --release --example filter_service
@@ -63,15 +64,20 @@ fn main() {
             f.size_in_bytes
         );
     }
-    let c = &stats.counters;
+    // The server runs in this process, so its counters (the
+    // `bb_server_*` METRICS families) are read in place.
+    let m = server.metrics();
     println!(
         "  {} frames in, {} responses out, {} keys processed",
-        c.frames_received, c.responses_sent, c.keys_processed
+        m.frames_received.get(),
+        m.responses_sent.get(),
+        m.keys_processed.get()
     );
+    let latency = m.request_latency.snapshot();
     println!(
         "  server-side request latency: p50 ≤ {:.1} us, p99 ≤ {:.1} us",
-        c.request_latency.quantile_ns(0.50) as f64 / 1e3,
-        c.request_latency.quantile_ns(0.99) as f64 / 1e3
+        latency.quantile_ns(0.50) as f64 / 1e3,
+        latency.quantile_ns(0.99) as f64 / 1e3
     );
 
     drop(client);

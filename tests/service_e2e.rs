@@ -13,8 +13,8 @@ use beyond_bloom::service::engine::{dispatch, Engine};
 use beyond_bloom::service::proto::{write_frame, FrameEvent, FrameReader, FLAG_TRACE};
 use beyond_bloom::service::{
     build_atomic_bloom, build_sharded_cqf, build_sharded_cuckoo, build_sharded_register_bloom,
-    build_sharded_two_choice, Backend, ClientError, ClusterClient, CountersSnapshot, ErrorCode,
-    EventedFilterServer, FilterClient, Request, Response, ServerConfig, DEFAULT_MAX_FRAME,
+    build_sharded_two_choice, Backend, ClientError, ClusterClient, ErrorCode, EventedFilterServer,
+    FilterClient, Request, Response, ServerConfig, ServerMetrics, DEFAULT_MAX_FRAME,
 };
 use beyond_bloom::workloads::{disjoint_keys, unique_keys, zipf_keys};
 use std::io::{Read, Write};
@@ -47,21 +47,19 @@ fn serial_multi_contains() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|p| p.into_inner())
 }
 
-/// Poll STATS until `pred` holds or the deadline passes. Counter
-/// updates race the client's view of its own connection teardown, so
-/// robustness assertions poll rather than sleep.
-fn wait_for_stats(
-    client: &mut FilterClient,
-    pred: impl Fn(&beyond_bloom::service::StatsReport) -> bool,
-) -> beyond_bloom::service::StatsReport {
+/// Poll the server's counters until `pred` holds or the deadline
+/// passes. Counter updates race the client's view of its own
+/// connection teardown, so robustness assertions poll rather than
+/// sleep.
+fn wait_for_metrics(
+    server: &EventedFilterServer,
+    pred: impl Fn(&ServerMetrics) -> bool,
+) -> &ServerMetrics {
     let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let stats = client.stats().expect("stats");
-        if pred(&stats) || Instant::now() > deadline {
-            return stats;
-        }
+    while !pred(server.metrics()) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
+    server.metrics()
 }
 
 // ---------------------------------------------------------------
@@ -226,13 +224,14 @@ fn crud_and_stats_roundtrip() {
     let stats = c.stats().unwrap();
     assert_eq!(stats.filters.len(), 6, "registry lists every instance");
     assert!(stats.filters.iter().any(|f| f.name == "shipped-cf"));
-    assert!(stats.counters.keys_processed > 0);
+    let m = server.metrics();
+    assert!(m.keys_processed.get() > 0);
     // Every INSERT/CONTAINS above shipped multi-key requests, so all of
     // that traffic went through the batched probe kernels — but DELETE
     // and COUNT keys are counted in keys_processed only.
-    assert!(stats.counters.batched_ops > 0);
-    assert!(stats.counters.batched_ops <= stats.counters.keys_processed);
-    assert!(stats.counters.request_latency.count() > 0);
+    assert!(m.batched_ops.get() > 0);
+    assert!(m.batched_ops.get() <= m.keys_processed.get());
+    assert!(m.request_latency.snapshot().count() > 0);
 
     drop(c);
     server.shutdown();
@@ -439,7 +438,7 @@ fn error_codes_are_precise() {
 // ---------------------------------------------------------------
 // Robustness: a peer dying mid-frame or shipping an absurd length
 // prefix must not wedge or crash a loop; the server keeps accepting
-// and STATS records the event.
+// and its counters record the event.
 // ---------------------------------------------------------------
 
 #[test]
@@ -458,10 +457,10 @@ fn mid_frame_disconnect_does_not_wedge_server() {
 
     // The rude client's connection is reaped and the server still
     // answers on both old and new connections.
-    let stats = wait_for_stats(&mut c, |s| s.counters.disconnects_mid_frame >= 1);
+    let m = wait_for_metrics(&server, |m| m.disconnects_mid_frame.get() >= 1);
     assert!(
-        stats.counters.disconnects_mid_frame >= 1,
-        "STATS must count the mid-frame disconnect"
+        m.disconnects_mid_frame.get() >= 1,
+        "the server must count the mid-frame disconnect"
     );
     let mut fresh = FilterClient::connect(addr).unwrap();
     fresh.insert("t", &[7]).unwrap();
@@ -499,8 +498,8 @@ fn oversized_length_prefix_is_refused_and_counted() {
     }
     drop((reader, rude));
 
-    let stats = wait_for_stats(&mut c, |s| s.counters.protocol_errors >= 1);
-    assert!(stats.counters.protocol_errors >= 1);
+    let m = wait_for_metrics(&server, |m| m.protocol_errors.get() >= 1);
+    assert!(m.protocol_errors.get() >= 1);
     // And the server is still fully operational.
     c.insert("t", &[9]).unwrap();
     assert!(c.contains("t", &[9]).unwrap()[0]);
@@ -525,8 +524,8 @@ fn malformed_payload_gets_error_response_and_connection_survives() {
     }
     // ...and the stream is back in lockstep: the pending STATS answer.
     match c.call(&beyond_bloom::service::Request::Stats).unwrap() {
-        beyond_bloom::service::Response::Stats(s) => {
-            assert!(s.counters.protocol_errors >= 1)
+        beyond_bloom::service::Response::Stats(_) => {
+            assert!(server.metrics().protocol_errors.get() >= 1)
         }
         other => panic!("expected stats, got {other:?}"),
     }
@@ -537,8 +536,7 @@ fn malformed_payload_gets_error_response_and_connection_survives() {
 #[test]
 fn short_trace_context_is_refused_then_closed() {
     let (server, addr) = start();
-    let mut poll = FilterClient::connect(addr).unwrap();
-    let base = poll.stats().unwrap().counters.protocol_errors;
+    let base = server.metrics().protocol_errors.get();
 
     // A traced frame announces a 16-byte trace context up front; a
     // 5-byte body cannot hold one. One BadFrame answer, then close.
@@ -554,27 +552,30 @@ fn short_trace_context_is_refused_then_closed() {
         Ok(FrameEvent::Closed) | Err(_) => {}
         Ok(FrameEvent::Frame(..)) => panic!("a second response after the refusal"),
     }
-    assert_eq!(poll.stats().unwrap().counters.protocol_errors, base + 1);
+    // The error was counted before its answer was queued.
+    assert_eq!(server.metrics().protocol_errors.get(), base + 1);
 
-    drop((poll, rude));
+    drop(rude);
     server.shutdown();
 }
 
 #[test]
 fn cleanly_closed_connections_are_reaped() {
     let (server, addr) = start();
-    let mut poll = FilterClient::connect(addr).unwrap();
-    let base = poll.stats().unwrap().counters.open_connections;
+    let open_now = || server.metrics().open_connections.get();
+    let base = open_now();
 
     // EOF on a frame boundary with nothing queued: the server must
     // close its end, not keep servicing a level-triggered EOF forever.
+    // An answered request proves the server adopted the connection.
     let mut brief = FilterClient::connect(addr).unwrap();
-    assert_eq!(brief.stats().unwrap().counters.open_connections, base + 1);
+    brief.stats().unwrap();
+    assert_eq!(open_now(), base + 1);
     drop(brief);
 
     let deadline = Instant::now() + Duration::from_secs(2);
     loop {
-        let open = poll.stats().unwrap().counters.open_connections;
+        let open = open_now();
         if open == base {
             break;
         }
@@ -584,7 +585,6 @@ fn cleanly_closed_connections_are_reaped() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    drop(poll);
     server.shutdown();
 }
 
@@ -756,8 +756,7 @@ fn metrics_exposition_is_valid_and_spans_layers() {
     // Zero threshold: every request is slow, so the slow counter
     // moved and the log rendered entries (the slow log is engine
     // state, not telemetry, so the runtime switch does not gate it).
-    let stats = c.stats().unwrap();
-    assert!(stats.counters.slow_requests > 0);
+    assert!(expo.value("bb_server_slow_requests_total").unwrap() > 0.0);
     assert!(
         text.lines().any(|l| l.starts_with("# slow ")),
         "no slow-request log lines:\n{text}"
@@ -772,16 +771,11 @@ fn metrics_exposition_is_valid_and_spans_layers() {
         "slow lines must carry the TCP peer:\n{text}"
     );
 
-    // Ring-overwrite accounting: the bounded logs export how much
-    // they have silently discarded. Drive the 256-entry slow log
-    // past capacity (every request is slow at threshold zero) and
-    // wrap the global event ring in-process, then check the drop
-    // counters moved.
-    for fam in [
-        "bb_events_dropped",
-        "bb_slow_log_dropped",
-        "bb_traces_dropped_total",
-    ] {
+    // Overwrite accounting: the bounded logs export how much they
+    // have discarded. Drive the 256-entry slow log past capacity
+    // (every request is slow at threshold zero), then check its drop
+    // counter moved.
+    for fam in ["bb_slow_log_dropped", "bb_traces_dropped_total"] {
         assert!(expo.has_family(fam), "missing drop counter {fam}");
     }
     assert_eq!(expo.value("bb_slow_log_dropped").unwrap(), 0.0);
@@ -789,19 +783,60 @@ fn metrics_exposition_is_valid_and_spans_layers() {
     for _ in 0..300 {
         let _ = c.contains("mx-bloom", &probe).unwrap();
     }
-    for i in 0..1_100 {
-        beyond_bloom::telemetry::emit(beyond_bloom::telemetry::EventKind::Other, i, 0);
-    }
     let text = c.metrics_text().unwrap();
     let expo = beyond_bloom::telemetry::expo::parse(&text).expect("post-wrap exposition");
     assert!(
         expo.value("bb_slow_log_dropped").unwrap() > 0.0,
         "slow log wrapped >300 entries past its 256 cap:\n{text}"
     );
-    assert!(
-        expo.value("bb_events_dropped").unwrap() > 0.0,
-        "event ring wrapped after 1100 emits into 1024 slots"
+
+    // METRICS is the one read path for the server's counters, so each
+    // `bb_server_*` family must equal the field it renders. Every
+    // request above has been answered, and a request is fully counted
+    // before its answer is written, so nothing moves between the
+    // in-process render and the reads.
+    let text = server.metrics_text();
+    let expo = beyond_bloom::telemetry::expo::parse(&text).expect("in-process exposition");
+    let m = server.metrics();
+    for (fam, counter) in [
+        ("bb_server_connections_opened_total", &m.connections_opened),
+        ("bb_server_connections_closed_total", &m.connections_closed),
+        ("bb_server_frames_received_total", &m.frames_received),
+        ("bb_server_responses_sent_total", &m.responses_sent),
+        ("bb_server_protocol_errors_total", &m.protocol_errors),
+        (
+            "bb_server_disconnects_mid_frame_total",
+            &m.disconnects_mid_frame,
+        ),
+        ("bb_server_error_responses_total", &m.error_responses),
+        ("bb_server_keys_processed_total", &m.keys_processed),
+        ("bb_server_batched_ops_total", &m.batched_ops),
+        ("bb_server_bytes_in_total", &m.bytes_in),
+        ("bb_server_bytes_out_total", &m.bytes_out),
+        ("bb_server_accept_errors_total", &m.accept_errors),
+    ] {
+        assert_eq!(expo.value(fam), Some(counter.get() as f64), "{fam}");
+    }
+    for (fam, gauge) in [
+        ("bb_server_open_connections", &m.open_connections),
+        ("bb_server_pipelined_depth", &m.pipelined_depth),
+    ] {
+        assert_eq!(expo.value(fam), Some(gauge.get() as f64), "{fam}");
+    }
+    assert_eq!(
+        expo.value("bb_server_request_latency_ns_count"),
+        Some(m.request_latency.snapshot().count() as f64)
     );
+    // The slow counter is the number of slow-log entries ever
+    // emitted: those still listed plus those overwritten by wrap. At
+    // threshold zero that is every frame served.
+    let listed = text.lines().filter(|l| l.starts_with("# slow ")).count() as f64;
+    let slow = expo.value("bb_server_slow_requests_total");
+    assert_eq!(
+        slow,
+        Some(listed + expo.value("bb_slow_log_dropped").unwrap())
+    );
+    assert_eq!(slow, Some(m.frames_received.get() as f64));
     drop(c);
     server.shutdown();
 
@@ -938,16 +973,16 @@ fn blob_req(name: &str, backend: Backend, blob: Vec<u8>) -> Request {
 /// The counters a scripted workload moves deterministically.
 /// Latency, slow-request, and connection-lifecycle counters are
 /// excluded: they depend on timing, not on what was served.
-fn deterministic_counters(c: &CountersSnapshot) -> [u64; 8] {
+fn deterministic_counters(m: &ServerMetrics) -> [u64; 8] {
     [
-        c.frames_received,
-        c.responses_sent,
-        c.protocol_errors,
-        c.error_responses,
-        c.keys_processed,
-        c.batched_ops,
-        c.bytes_in,
-        c.bytes_out,
+        m.frames_received.get(),
+        m.responses_sent.get(),
+        m.protocol_errors.get(),
+        m.error_responses.get(),
+        m.keys_processed.get(),
+        m.batched_ops.get(),
+        m.bytes_in.get(),
+        m.bytes_out.get(),
     ]
 }
 
@@ -967,7 +1002,7 @@ struct ScriptRun {
 /// in-process, so the script's own frames are the only traffic.
 fn equivalence_script(server: &EventedFilterServer) -> ScriptRun {
     let addr = server.local_addr();
-    let counters = || server.metrics().snapshot();
+    let counters = server.metrics();
 
     // Adversarial prologue: a peer that announces a frame, sends a
     // fragment, and vanishes. Detection is asynchronous, so it runs
@@ -978,11 +1013,15 @@ fn equivalence_script(server: &EventedFilterServer) -> ScriptRun {
         rude.write_all(&[0x5a; 8]).unwrap();
     }
     let deadline = Instant::now() + Duration::from_secs(5);
-    while counters().disconnects_mid_frame < 1 && Instant::now() < deadline {
+    while counters.disconnects_mid_frame.get() < 1 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(counters().disconnects_mid_frame, 1, "exactly one rude peer");
-    let base = deterministic_counters(&counters());
+    assert_eq!(
+        counters.disconnects_mid_frame.get(),
+        1,
+        "exactly one rude peer"
+    );
+    let base = deterministic_counters(counters);
 
     let keys = unique_keys(0xe2_4001, 4_000);
     let probes = disjoint_keys(0xe2_4002, 2_000, &keys);
@@ -1133,9 +1172,8 @@ fn equivalence_script(server: &EventedFilterServer) -> ScriptRun {
     let oversized = rude.recv();
     drop(rude);
 
-    let fin = counters();
-    assert_eq!(fin.disconnects_mid_frame, 1);
-    let finals = deterministic_counters(&fin);
+    assert_eq!(counters.disconnects_mid_frame.get(), 1);
+    let finals = deterministic_counters(counters);
     let mut delta = [0u64; 8];
     for i in 0..8 {
         delta[i] = finals[i] - base[i];
@@ -1174,7 +1212,7 @@ fn wire_responses_match_in_process_dispatch() {
     // Counters: the transport counts frames, responses and bytes; the
     // engine counts keys and decode failures. The oversized prefix
     // adds one protocol error and one error response of its own.
-    let o = oracle.metrics().snapshot();
+    let o = oracle.metrics();
     let len = |v: &[Vec<u8>]| v.iter().map(|p| p.len() as u64).sum::<u64>();
     let errors = expected
         .iter()
@@ -1183,16 +1221,16 @@ fn wire_responses_match_in_process_dispatch() {
     let want = [
         run.sent.len() as u64,
         run.sent.len() as u64 + 1,
-        o.protocol_errors + 1,
+        o.protocol_errors.get() + 1,
         errors + 1,
-        o.keys_processed,
-        o.batched_ops,
+        o.keys_processed.get(),
+        o.batched_ops.get(),
         len(&run.sent),
         len(&expected) + run.oversized.len() as u64,
     ];
     assert_eq!(
         run.delta, want,
-        "deterministic STATS delta diverged from dispatch \
+        "deterministic counter delta diverged from dispatch \
          [frames, responses, proto_errs, err_responses, keys, batched, bytes_in, bytes_out]"
     );
 }
@@ -1228,7 +1266,7 @@ fn byte_dribbled_frame_survives_read_timeouts() {
         std::thread::sleep(Duration::from_millis(15));
     }
     match Response::decode(&c.recv()).unwrap() {
-        Response::Stats(s) => assert!(s.counters.frames_received >= 1),
+        Response::Stats(_) => assert!(server.metrics().frames_received.get() >= 1),
         other => panic!("expected stats answer to dribbled frame, got {other:?}"),
     }
     server.shutdown();
@@ -1271,12 +1309,12 @@ fn idle_deadline_evicts_stalled_connections() {
 
 // ===============================================================
 // Cluster mode: consistent-hash routing across live servers, node
-// add with shard migration, node removal, and replication — the
-// filter keeps answering correctly throughout.
+// add with shard migration, and node removal — the filter keeps
+// answering correctly throughout.
 // ===============================================================
 
 #[test]
-fn cluster_routes_migrates_and_replicates_across_live_servers() {
+fn cluster_routes_and_migrates_across_live_servers() {
     let bind = |label: &str| {
         EventedFilterServer::bind("127.0.0.1:0", test_config())
             .unwrap_or_else(|e| panic!("bind {label}: {e}"))
@@ -1372,24 +1410,16 @@ fn cluster_routes_migrates_and_replicates_across_live_servers() {
     assert_eq!(cluster.node_addrs(), vec![addr_b, addr_c]);
     verify_all(&mut cluster, &keysets);
 
-    // Replication: a same-name copy on the owner's successor answers
-    // reads on its own.
-    let (name, keys) = &keysets[0];
-    let placed = cluster.replicate(name, 1).expect("replicate");
-    assert_eq!(placed.len(), 1);
-    assert_ne!(placed[0], cluster.owner_addr(name));
-    let mut replica = FilterClient::connect(placed[0]).unwrap();
-    assert!(replica.contains(name, keys).unwrap().iter().all(|&b| b));
-
-    drop((cluster, direct_c, replica));
+    drop((cluster, direct_c));
     node_a.shutdown();
     node_b.shutdown();
     node_c.shutdown();
 }
 
 /// The cluster's MULTI_CONTAINS is the union of its nodes' own
-/// answers: three live nodes, two filters of every backend, one of
-/// them replicated onto a second node.
+/// answers: three live nodes, two filters of every backend, and a
+/// same-name copy of one of them registered directly on a second
+/// node, which the merge must name once.
 #[test]
 fn cluster_multi_contains_is_the_union_of_node_answers() {
     let _serial = serial_multi_contains();
@@ -1420,8 +1450,16 @@ fn cluster_multi_contains_is_the_union_of_node_answers() {
         filters.push((name, keys));
     }
     let replicated = filters[0].0.clone();
-    let placed = cluster.replicate(&replicated, 1).expect("replicate");
-    assert_eq!(placed.len(), 1);
+    let owner = cluster.owner_addr(&replicated);
+    let (backend, blob) = FilterClient::connect(owner)
+        .unwrap()
+        .snapshot(&replicated)
+        .unwrap();
+    let second = *addrs.iter().find(|&&a| a != owner).unwrap();
+    FilterClient::connect(second)
+        .unwrap()
+        .create_prebuilt(&replicated, backend, blob)
+        .unwrap();
 
     let mut probes: Vec<u64> = filters.iter().flat_map(|(_, keys)| keys.clone()).collect();
     probes.extend(unique_keys(990, 500));

@@ -1,19 +1,20 @@
 //! The telemetry layer's one off switch, `telemetry::set_enabled`.
 //!
 //! With the switch off nothing records: static handles, span timers,
-//! the global event ring, the trace recorder, and a server's trace
-//! store. Every filter answer, wire response and METRICS family stays
-//! the same. Switched back on, everything records again. The switch is
-//! process-global, so these tests live in a test binary of their own
-//! and serialize on one lock, and each turns the switch back on when
-//! it ends, even by panic.
+//! the trace recorder, and a server's trace store. Every filter
+//! answer, wire response and METRICS family stays the same, and the
+//! slow log names no trace that TRACES will not return. Switched back
+//! on, everything records again. The switch is process-global, so
+//! these tests live in a test binary of their own and serialize on
+//! one lock, and each turns the switch back on when it ends, even by
+//! panic.
 
 use beyond_bloom::service::engine::{dispatch, Engine};
 use beyond_bloom::service::{
     Backend, EventedFilterServer, FilterClient, Request, Response, ServerConfig,
 };
 use beyond_bloom::telemetry::trace::{self, SpanHandoff, TraceContext, FLAG_FORCED};
-use beyond_bloom::telemetry::{self, expo, EventKind, StaticCounter, StaticGauge, StaticHistogram};
+use beyond_bloom::telemetry::{self, expo, StaticCounter, StaticGauge, StaticHistogram};
 use beyond_bloom::workloads::{disjoint_keys, unique_keys};
 use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard};
@@ -47,9 +48,13 @@ impl Drop for Switch {
 }
 
 fn bind() -> EventedFilterServer {
+    bind_with(ServerConfig::default())
+}
+
+fn bind_with(config: ServerConfig) -> EventedFilterServer {
     let config = ServerConfig {
         read_timeout: Duration::from_millis(10),
-        ..ServerConfig::default()
+        ..config
     };
     EventedFilterServer::bind("127.0.0.1:0", config).expect("bind ephemeral")
 }
@@ -60,25 +65,18 @@ static GAUGE: StaticGauge = StaticGauge::new("bb_test_switch_gauge", "Switch tes
 static HIST: StaticHistogram =
     StaticHistogram::new("bb_test_switch_hist_ns", "Switch test histogram.");
 
-/// Touch each static handle, one span timer and the global event
-/// ring once.
+/// Touch each static handle and one span timer once.
 fn touch_handles() {
     COUNTER.inc();
     GAUGE.add(1);
     HIST.observe(10);
     HIST.record(Duration::from_nanos(20));
     drop(HIST.span());
-    telemetry::emit(EventKind::Other, 1, 2);
 }
 
-/// Counter, gauge, histogram count, and events emitted so far.
-fn readings() -> (u64, i64, u64, u64) {
-    (
-        COUNTER.get(),
-        GAUGE.get(),
-        HIST.get().count(),
-        telemetry::events().emitted(),
-    )
+/// Counter, gauge and histogram count so far.
+fn readings() -> (u64, i64, u64) {
+    (COUNTER.get(), GAUGE.get(), HIST.get().count())
 }
 
 #[test]
@@ -87,21 +85,15 @@ fn switched_off_handles_spans_and_events_record_nothing() {
     let before = readings();
     switch.set(false);
     touch_handles();
-    assert_eq!(
-        readings(),
-        before,
-        "a switched-off handle, span or emit recorded"
-    );
+    assert_eq!(readings(), before, "a switched-off handle or span recorded");
 
     switch.set(true);
     touch_handles();
-    let (counter, gauge, hist, emitted) = readings();
     assert_eq!(
-        (counter, gauge, hist),
+        readings(),
         (before.0 + 1, before.1 + 1, before.2 + 3),
         "switched back on, the handles and the span record again"
     );
-    assert!(emitted > before.3, "switched back on, emit records again");
 }
 
 /// One forced request with a child span. Returns the guard's trace id
@@ -205,6 +197,59 @@ fn switched_off_server_answers_forced_traces_but_keeps_none() {
     assert!(
         !seen.contains(&off_id),
         "TRACES returned the switched-off request's trace"
+    );
+    drop(c);
+    server.shutdown();
+}
+
+/// A `# slow` line names a trace only when TRACES can return it. At
+/// threshold zero every request is slow; the switched-off CONTAINS
+/// store no trace, so their lines carry no `trace_id=`, while the
+/// switched-on CONTAINS names the trace TRACES returns.
+#[test]
+fn slow_log_names_only_traces_that_traces_returns() {
+    let switch = Switch::lock();
+    let server = bind_with(ServerConfig {
+        slow_request_threshold: Duration::ZERO,
+        ..ServerConfig::default()
+    });
+    let mut c = FilterClient::connect(server.local_addr()).expect("connect");
+    c.create("sw-slow", Backend::AtomicBloom, 1_000, 0.01, 0, 1)
+        .unwrap();
+    switch.set(false);
+    for _ in 0..5 {
+        c.contains("sw-slow", &[1, 2, 3]).unwrap();
+    }
+    switch.set(true);
+    c.contains("sw-slow", &[1, 2, 3]).unwrap();
+    // Each trace is promoted before its response is written, so the
+    // answers above mean every trace they will ever store is stored.
+    let returned: BTreeSet<u64> = c
+        .traces()
+        .expect("TRACES")
+        .iter()
+        .map(|t| t.trace_id)
+        .collect();
+
+    let text = server.metrics_text();
+    let contains: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("# slow ") && l.contains(" op=CONTAINS "))
+        .collect();
+    assert_eq!(contains.len(), 6, "one slow line per CONTAINS:\n{text}");
+    for line in &contains[..5] {
+        assert!(
+            !line.contains("trace_id="),
+            "a switched-off slow line names a trace TRACES never returns: {line}"
+        );
+    }
+    let named = contains[5]
+        .split_once(" trace_id=")
+        .map(|(_, id)| u64::from_str_radix(id, 16).expect("hex trace id"))
+        .expect("the switched-on slow line names its trace");
+    assert!(
+        returned.contains(&named),
+        "TRACES did not return the trace {named:016x} the slow log names"
     );
     drop(c);
     server.shutdown();
