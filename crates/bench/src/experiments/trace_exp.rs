@@ -1,8 +1,8 @@
 //! E27: distributed-tracing overhead on the request path.
 //!
 //! The tracing layer promises that wrapping every server request in a
-//! trace guard is cheap enough to leave on in production at the
-//! default 1-in-256 head-sampling rate. This experiment measures that
+//! trace guard is cheap enough to leave on in production at its
+//! 1-in-256 head-sampling rate (`telemetry::trace::HEAD_SAMPLE`). This experiment measures that
 //! promise on the transports' frame loop minus only the socket
 //! syscalls: per-request latency timing, [`service::engine::dispatch`]
 //! on pre-encoded CONTAINS batches, the servers' frame encoder
@@ -24,9 +24,8 @@
 //! so CI can archive the numbers.
 //!
 //! Env knobs (for the CI perf-smoke job):
-//! - `E27_QUICK=1` shrinks sizes and rounds to finish in seconds.
-//! - `E27_SCALE=<k>` overrides the per-case request-count multiplier
-//!   (pass length), for noise-floor experiments.
+//! - `E27_QUICK=1` shrinks sizes, rounds and pass lengths to finish in
+//!   seconds.
 //! - `E27_ASSERT=1` prints an `e27 gate: PASS`/`FAIL` line asserting
 //!   overhead stays under 3% for every workload.
 
@@ -88,7 +87,7 @@ fn bench_case(
         // store saturates and every in-pass promote pays an eviction
         // (allocator churn that belongs to the collector, not the
         // request path).
-        telemetry::trace::store().take();
+        telemetry::trace::store().take(0);
         dt
     };
     // One warmup pass per mode to fault in allocations and caches.
@@ -142,12 +141,8 @@ pub fn e27_trace() -> bool {
     // milliseconds regardless of batch width — sub-millisecond passes
     // drown the single-digit-nanosecond guard cost in scheduler and
     // timer noise.
-    let scale = std::env::var("E27_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick { 1 } else { 4 });
+    let scale = if quick { 1 } else { 4 };
     telemetry::set_enabled(true);
-    telemetry::trace::set_head_sample(256);
 
     // One engine, served exactly as the wire would see it: a filter
     // registered under the server's CREATE recipe, requests arriving
@@ -207,7 +202,7 @@ pub fn e27_trace() -> bool {
                 let dt = t0.elapsed();
                 let slow = dt >= threshold;
                 engine.record_request(dt, info, None, if slow { guard.trace_id() } else { 0 });
-                guard.finish_timed(dt, slow, false);
+                guard.finish(dt, slow, false);
             } else {
                 let (resp, info) = dispatch(engine, p);
                 encode_frame(&mut obuf, None, |out| resp.encode_into(out));
@@ -254,7 +249,7 @@ pub fn e27_trace() -> bool {
         results.push(best);
         // Drain whatever head sampling promoted so the store never
         // carries state across cases.
-        telemetry::trace::store().take();
+        telemetry::trace::store().take(0);
     }
 
     println!(
@@ -297,9 +292,10 @@ pub fn e27_trace() -> bool {
     }
 
     let json = format!(
-        "{{\"experiment\":\"e27\",\"quick\":{quick},\"head_sample\":256,\
+        "{{\"experiment\":\"e27\",\"quick\":{quick},\"head_sample\":{},\
          \"max_overhead\":{MAX_OVERHEAD},\"cases\":[{json_cases}],\
-         \"gate_pass\":{all_pass}}}\n"
+         \"gate_pass\":{all_pass}}}\n",
+        telemetry::trace::HEAD_SAMPLE
     );
     match std::fs::write("BENCH_E27.json", &json) {
         Ok(()) => println!("\nwrote BENCH_E27.json"),

@@ -8,6 +8,11 @@
 //! runs one client per thread. The cluster client overlaps *nodes*:
 //! it sends one request on each node's connection before reading any
 //! reply, but never puts two requests on one connection.
+//!
+//! Every frame carries the calling thread's active trace context
+//! ([`telemetry::trace::current_context`]), so a call made under a
+//! trace joins it on the server; with no active trace the frame is
+//! untraced and byte-identical to one from a thread that never traces.
 
 use crate::metrics::StatsReport;
 use crate::proto::{
@@ -15,7 +20,7 @@ use crate::proto::{
 };
 use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use telemetry::trace::{Trace, TraceContext};
+use telemetry::trace::Trace;
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -67,52 +72,29 @@ pub struct FilterClient {
 }
 
 impl FilterClient {
-    /// Connect with the default frame limit.
+    /// Connect, refusing response frames larger than
+    /// [`DEFAULT_MAX_FRAME`].
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<FilterClient> {
-        Self::connect_with_max_frame(addr, DEFAULT_MAX_FRAME)
-    }
-
-    /// Connect, refusing response frames larger than `max_frame`.
-    pub fn connect_with_max_frame(
-        addr: impl ToSocketAddrs,
-        max_frame: u32,
-    ) -> io::Result<FilterClient> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
         Ok(FilterClient {
-            frames: FrameReader::new(stream, max_frame),
+            frames: FrameReader::new(stream, DEFAULT_MAX_FRAME),
             out: Vec::new(),
         })
     }
 
     /// Send one request and block for its response.
     pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        self.send(req, None)?;
+        self.send(req)?;
         self.recv()
     }
 
-    /// Send one request carrying an optional trace context and block
-    /// for its response. With `ctx: None` the frame is byte-identical
-    /// to an untraced [`FilterClient::call`]; with `Some` the server
-    /// joins the caller's trace (its root span parents onto
-    /// `ctx.span_id`).
-    pub fn call_traced(
-        &mut self,
-        req: &Request,
-        ctx: Option<TraceContext>,
-    ) -> Result<Response, ClientError> {
-        self.send(req, ctx)?;
-        self.recv()
-    }
-
-    /// Write one request frame, in one `write`, without waiting for
-    /// the response. The caller must [`recv`](Self::recv) it before
-    /// the next `send`: one request is outstanding per connection.
-    pub(crate) fn send(
-        &mut self,
-        req: &Request,
-        ctx: Option<TraceContext>,
-    ) -> Result<(), ClientError> {
+    /// Write one request frame, carrying the thread's trace context
+    /// if a trace is active, in one `write`, without waiting for the
+    /// response. The caller must [`recv`](Self::recv) it before the
+    /// next `send`: one request is outstanding per connection.
+    pub(crate) fn send(&mut self, req: &Request) -> Result<(), ClientError> {
+        let ctx = telemetry::trace::current_context();
         self.out.clear();
         encode_frame(&mut self.out, ctx.as_ref(), |out| req.encode_into(out));
         self.frames.get_mut().write_all(&self.out)?;
@@ -168,6 +150,14 @@ impl FilterClient {
             Response::Stats(s) => Ok(s),
             Response::Error { code, message } => Err(ClientError::Remote { code, message }),
             _ => Err(ClientError::Unexpected("wanted Stats")),
+        }
+    }
+
+    pub(crate) fn expect_traces(resp: Response) -> Result<Vec<Trace>, ClientError> {
+        match resp {
+            Response::Traces(t) => Ok(t),
+            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
+            _ => Err(ClientError::Unexpected("wanted Traces")),
         }
     }
 
@@ -307,27 +297,15 @@ impl FilterClient {
         Self::expect_ok(resp)
     }
 
-    /// TRACES: drain the server's completed-trace store as structured
-    /// spans ([`crate::cluster::ClusterClient::trace_route`] merges
-    /// these across nodes into one cross-process trace).
-    pub fn traces(&mut self) -> Result<Vec<Trace>, ClientError> {
-        let resp = self.call(&Request::Traces { json: false })?;
-        match resp {
-            Response::Traces(t) => Ok(t),
-            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
-            _ => Err(ClientError::Unexpected("wanted Traces")),
-        }
-    }
-
-    /// TRACES as Chrome `trace_event` JSON, loadable in
-    /// `about:tracing` or Perfetto.
-    pub fn traces_json(&mut self) -> Result<String, ClientError> {
-        let resp = self.call(&Request::Traces { json: true })?;
-        match resp {
-            Response::Text(t) => Ok(t),
-            Response::Error { code, message } => Err(ClientError::Remote { code, message }),
-            _ => Err(ClientError::Unexpected("wanted Text")),
-        }
+    /// TRACES: drain the server's completed traces with `trace_id`
+    /// (0: every trace) as structured spans; the server keeps the
+    /// others. [`crate::cluster::ClusterClient::collect_trace`] merges
+    /// one trace's spans across nodes into one cross-process trace,
+    /// and `telemetry::trace::chrome_trace_json` renders traces for a
+    /// trace viewer.
+    pub fn traces(&mut self, trace_id: u64) -> Result<Vec<Trace>, ClientError> {
+        let resp = self.call(&Request::Traces { trace_id })?;
+        Self::expect_traces(resp)
     }
 
     /// The underlying stream (tests use this to simulate abrupt

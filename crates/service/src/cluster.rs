@@ -3,7 +3,7 @@
 //!
 //! Each server process stays exactly what it was — a single-node
 //! engine with a private registry. The [`ClusterClient`] layers a
-//! consistent-hash ring (virtual nodes, 64 per server by default)
+//! consistent-hash ring (virtual nodes, [`DEFAULT_VNODES`] per server)
 //! over the set of server addresses and routes every named-filter
 //! request to the name's owner. No server knows about any other: the
 //! cluster is a pure client-side construct, which is how memcached
@@ -36,12 +36,23 @@
 //! at a time. When a fan-out returns, Ok or Err, every connection that
 //! carried the request has had its reply read or has been dropped, so
 //! no stale reply is left for the next routed call to misread.
+//!
+//! # Tracing
+//!
+//! Every frame carries the calling thread's trace context, so any
+//! cluster call made under a forced root (`begin_forced`) is traced on
+//! every node it reaches: each node's `server:request` span parents
+//! onto the caller's current span. [`ClusterClient::trace_route`] is
+//! such a root around an ordinary [`ClusterClient::multi_contains`],
+//! and [`ClusterClient::collect_trace`] gathers one trace's spans from
+//! the local store and every node.
 
 use crate::client::{ClientError, FilterClient};
 use crate::metrics::StatsReport;
 use crate::proto::{Backend, Request, Response};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
+use std::time::Instant;
 use telemetry::trace::{SpanRecord, Trace};
 
 /// Virtual points each node contributes to the ring. More points →
@@ -155,21 +166,6 @@ pub struct MigrationReport {
     pub retained: usize,
 }
 
-/// A trace whose client-side spans are already closed but whose
-/// server-side spans have not been harvested yet (the in-between
-/// state of [`ClusterClient::trace_route_begin`] /
-/// [`ClusterClient::trace_collect`]).
-#[derive(Debug)]
-pub struct PendingTrace {
-    /// The forced root's trace id — the join key for server spans.
-    pub trace_id: u64,
-    /// Client-side spans: the root plus one `rpc:{addr}` per call.
-    pub spans: Vec<SpanRecord>,
-    /// Traced RPCs issued — collection retries until this many
-    /// `server:request` spans have been harvested (or a deadline).
-    pub expected_rpcs: usize,
-}
-
 struct Node {
     addr: SocketAddr,
     conn: Option<FilterClient>,
@@ -181,32 +177,22 @@ struct Node {
 pub struct ClusterClient {
     nodes: Vec<Node>,
     ring: HashRing,
-    vnodes: usize,
 }
 
 impl ClusterClient {
     /// Assemble a cluster over running servers (connections open
     /// lazily, on first use of each node).
     pub fn new(addrs: Vec<SocketAddr>) -> Result<ClusterClient, ClusterError> {
-        Self::with_vnodes(addrs, DEFAULT_VNODES)
-    }
-
-    /// [`ClusterClient::new`] with an explicit virtual-node count.
-    pub fn with_vnodes(
-        addrs: Vec<SocketAddr>,
-        vnodes: usize,
-    ) -> Result<ClusterClient, ClusterError> {
         if addrs.is_empty() {
             return Err(ClusterError::NoNodes);
         }
-        let ring = HashRing::build(&addrs, vnodes.max(1));
+        let ring = HashRing::build(&addrs, DEFAULT_VNODES);
         Ok(ClusterClient {
             nodes: addrs
                 .into_iter()
                 .map(|addr| Node { addr, conn: None })
                 .collect(),
             ring,
-            vnodes: vnodes.max(1),
         })
     }
 
@@ -278,7 +264,7 @@ impl ClusterClient {
         let mut first_err = None;
         let mut sent = 0;
         while sent < self.nodes.len() {
-            match self.conn(sent).and_then(|c| Ok(c.send(req, None)?)) {
+            match self.conn(sent).and_then(|c| Ok(c.send(req)?)) {
                 Ok(()) => sent += 1,
                 Err(e) => {
                     self.nodes[sent].conn = None;
@@ -341,123 +327,48 @@ impl ClusterClient {
         Ok(merged)
     }
 
-    /// Trace one routed request across the whole cluster: probe
-    /// `keys` on every node (a cluster-wide MULTI_CONTAINS, each RPC
-    /// carrying the trace context on the wire), then fetch each
-    /// node's completed traces and merge the spans that belong to
-    /// this trace into one cross-process [`Trace`]. Convenience
-    /// wrapper over [`ClusterClient::trace_route_begin`] +
-    /// [`ClusterClient::trace_collect`].
-    ///
-    /// Unlike [`multi_contains`](Self::multi_contains), the traced
-    /// probe calls the nodes one after another: each call records its
-    /// own client-side `rpc:{addr}` span, and a span that stays open
-    /// across another node's round trip would no longer time its own
-    /// node.
+    /// Trace one routed request across the whole cluster: open a
+    /// forced root span, run an ordinary cluster-wide
+    /// [`multi_contains`](Self::multi_contains) of `key` under it (so
+    /// every node records its part under the root), then
+    /// [`collect_trace`](Self::collect_trace). The root lasts the
+    /// fan-out's wall time, which is what the caller waits. With the
+    /// telemetry switch off, or under a trace already active on this
+    /// thread, the root is inert and the trace comes back empty.
     pub fn trace_route(&mut self, key: u64) -> Result<Trace, ClusterError> {
-        let pending = self.trace_route_begin(key, None)?;
-        self.trace_collect(pending)
-    }
-
-    /// First half of [`ClusterClient::trace_route`]: run the traced
-    /// RPCs and return the client-side spans, without collecting the
-    /// server-side halves yet. The split exists so callers can wait
-    /// for asynchronous server work linked to the trace (background
-    /// compaction after a traced INSERT seals a tier) before
-    /// harvesting. `insert_into`, when set, first sends a traced
-    /// INSERT of `key` into that filter on its owner.
-    pub fn trace_route_begin(
-        &mut self,
-        key: u64,
-        insert_into: Option<&str>,
-    ) -> Result<PendingTrace, ClusterError> {
-        let guard = telemetry::trace::begin_forced("cluster:trace_route");
-        let result = self.trace_route_rpcs(key, insert_into);
-        // Close the root even on error so the thread-local slot is
+        let root = telemetry::trace::begin_forced("cluster:trace_route");
+        let trace_id = root.trace_id();
+        let t0 = Instant::now();
+        let probed = self.multi_contains(&[key]);
+        // Close the root even on error so the thread's trace slot is
         // never left dangling.
-        let (trace_id, spans) = guard.finish_collect();
-        result?;
-        Ok(PendingTrace {
-            trace_id,
-            spans,
-            expected_rpcs: usize::from(insert_into.is_some()) + self.nodes.len(),
-        })
+        root.finish(t0.elapsed(), false, probed.is_err());
+        probed?;
+        self.collect_trace(trace_id)
     }
 
-    /// The traced RPC fan-out inside the root span: optional INSERT
-    /// to the key's filter owner, then MULTI_CONTAINS to every node.
-    fn trace_route_rpcs(
-        &mut self,
-        key: u64,
-        insert_into: Option<&str>,
-    ) -> Result<(), ClusterError> {
-        if let Some(name) = insert_into {
-            let idx = self.ring.owner(name);
-            let addr = self.nodes[idx].addr;
-            let sp = telemetry::trace::span(format!("rpc:{addr}"));
-            sp.annotate(1, 0);
-            let ctx = telemetry::trace::current_context(true);
-            let resp = self.conn(idx)?.call_traced(
-                &Request::Insert {
-                    name: name.to_string(),
-                    keys: vec![key],
-                },
-                ctx,
-            )?;
-            if let Response::Error { code, message } = resp {
-                return Err(ClusterError::Client(ClientError::Remote { code, message }));
-            }
-        }
-        for idx in 0..self.nodes.len() {
-            let addr = self.nodes[idx].addr;
-            let sp = telemetry::trace::span(format!("rpc:{addr}"));
-            sp.annotate(1, 0);
-            let ctx = telemetry::trace::current_context(true);
-            let resp = self
-                .conn(idx)?
-                .call_traced(&Request::MultiContains { keys: vec![key] }, ctx)?;
-            if let Response::Error { code, message } = resp {
-                return Err(ClusterError::Client(ClientError::Remote { code, message }));
-            }
-        }
-        Ok(())
-    }
-
-    /// Second half of [`ClusterClient::trace_route`]: drain every
-    /// node's trace store, keep the spans whose `trace_id` matches,
-    /// and merge them with the client-side spans into one trace
-    /// ordered by start time. Servers promote a request's trace just
-    /// after writing its response, so the last RPC's spans can lag
-    /// the client by a scheduling beat — collection retries (briefly)
-    /// until every traced RPC has contributed its `server:request`
-    /// span.
-    pub fn trace_collect(&mut self, pending: PendingTrace) -> Result<Trace, ClusterError> {
-        let PendingTrace {
-            trace_id,
-            mut spans,
-            expected_rpcs,
-        } = pending;
+    /// Drain one trace from the local store (the client's own spans)
+    /// and, through one fan-out, from every node, and merge its spans
+    /// into one cross-process [`Trace`] ordered by start time. Other
+    /// traces stay where they are. A node stores a request's trace
+    /// before it answers, so every call that has returned has
+    /// contributed; background spans linked to the trace arrive on
+    /// their own schedule, so wait for those
+    /// (`TraceStore::peek_spans`) before collecting. Trace id 0 (an
+    /// inert root) drains nothing and returns an empty trace.
+    pub fn collect_trace(&mut self, trace_id: u64) -> Result<Trace, ClusterError> {
         if trace_id == 0 {
-            // The telemetry switch is off: nothing was recorded
-            // anywhere; skip the collection round-trips.
-            return Ok(Trace { trace_id, spans });
+            return Ok(Trace {
+                trace_id,
+                spans: Vec::new(),
+            });
         }
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        loop {
-            for idx in 0..self.nodes.len() {
-                for trace in self.conn(idx)?.traces()? {
-                    if trace.trace_id == trace_id {
-                        spans.extend(trace.spans);
-                    }
-                }
-            }
-            let served = spans.iter().filter(|s| s.name == "server:request").count();
-            if served >= expected_rpcs || std::time::Instant::now() > deadline {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
+        let mut traces = telemetry::trace::store().take(trace_id);
+        for resp in self.fan_out(&Request::Traces { trace_id })? {
+            traces.extend(FilterClient::expect_traces(resp)?);
         }
-        spans.sort_by_key(|s: &SpanRecord| s.start_us);
+        let mut spans: Vec<SpanRecord> = traces.into_iter().flat_map(|t| t.spans).collect();
+        spans.sort_by_key(|s| s.start_us);
         Ok(Trace { trace_id, spans })
     }
 
@@ -470,7 +381,7 @@ impl ClusterClient {
             return Err(ClusterError::DuplicateNode(addr));
         }
         self.nodes.push(Node { addr, conn: None });
-        let new_ring = HashRing::build(&self.node_addrs(), self.vnodes);
+        let new_ring = HashRing::build(&self.node_addrs(), DEFAULT_VNODES);
         let report = self.rebalance(&new_ring)?;
         self.ring = new_ring;
         Ok(report)
@@ -492,7 +403,7 @@ impl ClusterClient {
             .filter(|n| n.addr != addr)
             .map(|n| n.addr)
             .collect();
-        let new_ring = HashRing::build(&remaining, self.vnodes);
+        let new_ring = HashRing::build(&remaining, DEFAULT_VNODES);
         // Map new-ring indices to current-node indices before the
         // departing node is spliced out.
         let index_map: Vec<usize> = (0..self.nodes.len()).filter(|&i| i != pos).collect();

@@ -521,7 +521,7 @@ impl Engine {
         self.stop.load(Ordering::Relaxed)
     }
 
-    /// The per-server metrics set (same data STATS serves).
+    /// The per-server counters (the `bb_server_*` METRICS families).
     pub fn metrics(&self) -> &ServerMetrics {
         &self.metrics
     }
@@ -713,15 +713,11 @@ pub fn dispatch(engine: &Engine, payload: &[u8]) -> (Response, ReqInfo) {
         }
         Request::Forget { name } => (handle_forget(engine, &name), None, 0),
         Request::MultiContains { keys } => (handle_multi_contains(engine, &keys), None, keys.len()),
-        Request::Traces { json } => {
-            let traces = telemetry::trace::store().take();
-            let resp = if json {
-                Response::Text(telemetry::trace::chrome_trace_json(&traces))
-            } else {
-                Response::Traces(traces)
-            };
-            (resp, None, 0)
-        }
+        Request::Traces { trace_id } => (
+            Response::Traces(telemetry::trace::store().take(trace_id)),
+            None,
+            0,
+        ),
     };
     let info = ReqInfo {
         op,

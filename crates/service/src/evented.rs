@@ -166,12 +166,6 @@ impl EventedFilterServer {
         self.engine.metrics()
     }
 
-    /// Install a filter directly, bypassing the wire CREATE. Returns
-    /// `false` when the name is already taken.
-    pub fn register(&self, name: &str, filter: crate::engine::ServedFilter) -> bool {
-        self.engine.register(name, filter)
-    }
-
     /// Render the METRICS exposition in-process.
     pub fn metrics_text(&self) -> String {
         render_metrics(&self.engine)
@@ -517,7 +511,7 @@ fn serve_frames(engine: &Engine, conn: &mut Conn) -> i64 {
             conn.peer,
             if slow { req_trace.trace_id() } else { 0 },
         );
-        req_trace.finish_timed(dt, slow, error);
+        req_trace.finish(dt, slow, error);
         conn.last_frame = t0;
         served += 1;
     }
@@ -527,7 +521,8 @@ fn serve_frames(engine: &Engine, conn: &mut Conn) -> i64 {
 /// Encode a response as a frame at the end of the connection's
 /// outbound buffer and count it as sent (queueing into the
 /// kernel-bound buffer is this transport's "written": a peer that has
-/// read its answer sees it counted in STATS).
+/// read its answer sees it counted in the `bb_server_*` METRICS
+/// families).
 fn queue_response(m: &ServerMetrics, obuf: &mut Vec<u8>, resp: &Response) {
     if matches!(resp, Response::Error { .. }) {
         m.error_responses.inc();

@@ -44,7 +44,9 @@ pub const PROTO_MAGIC: u32 = 0xBBF1_17AA;
 /// Current protocol version. Bump on any incompatible frame change;
 /// servers reject other versions with [`ErrorCode::UnsupportedVersion`].
 /// Version 2: the STATS answer is the filter inventory alone.
-pub const PROTO_VERSION: u32 = 2;
+/// Version 3: TRACES names the trace it drains and always answers
+/// with [`Response::Traces`].
+pub const PROTO_VERSION: u32 = 3;
 /// Default upper bound on a frame payload (8 MiB ≈ one million keys
 /// per batch); both sides refuse larger length prefixes outright.
 pub const DEFAULT_MAX_FRAME: u32 = 8 * 1024 * 1024;
@@ -304,12 +306,12 @@ pub enum Request {
         /// Keys to look up across every registered filter.
         keys: Vec<u64>,
     },
-    /// Drain the server's completed-trace store; answered by
-    /// [`Response::Traces`] (or [`Response::Text`] with Chrome
-    /// `trace_event` JSON when `json` is set).
+    /// Drain the completed traces with one id from the server's
+    /// store, leaving the others; answered by [`Response::Traces`].
     Traces {
-        /// Answer as Chrome trace JSON text instead of binary spans.
-        json: bool,
+        /// The trace to drain; 0 drains every trace (a minted trace
+        /// id is never 0).
+        trace_id: u64,
     },
 }
 
@@ -485,7 +487,7 @@ impl Request {
             Request::Stats | Request::Metrics => {}
             Request::Snapshot { name } | Request::Forget { name } => put_name(&mut w, name),
             Request::MultiContains { keys } => w.put_u64_slice(keys),
-            Request::Traces { json } => w.put_u32(u32::from(*json)),
+            Request::Traces { trace_id } => w.put_u64(*trace_id),
         }
         *out = w.into_bytes();
     }
@@ -536,7 +538,7 @@ impl Request {
                     keys: r.take_u64_vec()?,
                 },
                 OP_TRACES => Request::Traces {
-                    json: r.take_u32()? != 0,
+                    trace_id: r.take_u64()?,
                 },
                 other => return Ok(Err(other)),
             }))
@@ -1057,8 +1059,10 @@ mod tests {
             keys: vec![0, 42, u64::MAX],
         });
         roundtrip_request(Request::MultiContains { keys: vec![] });
-        roundtrip_request(Request::Traces { json: false });
-        roundtrip_request(Request::Traces { json: true });
+        roundtrip_request(Request::Traces { trace_id: 0 });
+        roundtrip_request(Request::Traces {
+            trace_id: 0x5eed_7ace,
+        });
     }
 
     #[test]

@@ -4,16 +4,19 @@
 //! travels on the wire as an optional 17-byte [`TraceContext`] frame
 //! extension (see the service's `proto` module for the flag bit).
 //! Capture is **tail-based with a cheap head**: a request that is
-//! forced, carries a wire context, or hits the 1/N head-sample
-//! records every span into a per-thread buffer; any other request
-//! gets a lazy guard that costs a few branches — no clock reads, no
-//! ids, no allocation — and still tail-captures by materializing a
-//! single root span if the request ends slow or in an error. Only
-//! slow, errored, head-sampled, or forced traces are promoted to the
-//! bounded global [`TraceStore`]. Background work started by a
-//! request (tier compaction) joins the trace through a span-link
-//! handoff ([`handoff`] / [`record_linked`]): the worker's span keeps
-//! `parent_id = 0` but points at the requesting span via `link_id`.
+//! forced, carries a wire context, or hits the 1-in-[`HEAD_SAMPLE`]
+//! head-sample records every span into a per-thread buffer; any
+//! other request gets a lazy guard that costs a few branches — no
+//! clock reads, no ids, no allocation — and still tail-captures by
+//! materializing a single root span if the request ends slow or in
+//! an error. Only slow, errored, head-sampled, or forced traces are
+//! promoted to the bounded global [`TraceStore`]. A client call made
+//! under an active trace carries [`current_context`] on its frame, so
+//! each callee records its part under the same trace id. Background
+//! work started by a request (tier compaction) joins the trace
+//! through a span-link handoff ([`handoff`] / [`record_linked`]): the
+//! worker's span keeps `parent_id = 0` but points at the requesting
+//! span via `link_id`.
 //!
 //! Completed traces render as Chrome `trace_event` JSON
 //! ([`chrome_trace_json`]) loadable in `about:tracing` or Perfetto;
@@ -30,11 +33,11 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Promote the trace regardless of latency (set end-to-end by
-/// `ClusterClient::trace_route`).
+/// Promote the trace regardless of latency. [`current_context`] sets
+/// it when the caller's own trace will be stored, so every callee
+/// stores its part too.
 pub const FLAG_FORCED: u8 = 1;
 
 /// The trace context a frame can carry: the caller's trace id and
@@ -157,20 +160,11 @@ pub fn register_metrics() {
     TRACE_SPANS_DROPPED.register();
 }
 
-/// 1-in-N head-sampling rate for fresh (context-less) traces.
-static HEAD_SAMPLE: AtomicU64 = AtomicU64::new(256);
-
-/// Set the head-sampling rate: a fresh trace is promoted regardless
-/// of latency once every `n` requests (0 disables head-sampling;
-/// tail criteria — slow, error, forced — still apply). Default 256.
-pub fn set_head_sample(n: u64) {
-    HEAD_SAMPLE.store(n, Ordering::Relaxed);
-}
-
-/// Current head-sampling rate.
-pub fn head_sample() -> u64 {
-    HEAD_SAMPLE.load(Ordering::Relaxed)
-}
+/// 1-in-N head-sampling rate for fresh (context-less) traces: one
+/// such request in every `HEAD_SAMPLE` per thread records fully and
+/// is promoted regardless of latency. Tail criteria (slow, error,
+/// forced) apply to every request.
+pub const HEAD_SAMPLE: u64 = 256;
 
 #[derive(Default)]
 struct StoreInner {
@@ -240,7 +234,7 @@ impl TraceStore {
     /// Clone every span held for `trace_id` — promoted traces and
     /// parked orphans alike — without draining anything. Callers
     /// waiting on an asynchronous linked span (background compaction)
-    /// poll this before the destructive [`TraceStore::take`].
+    /// poll this before the draining [`TraceStore::take`].
     pub fn peek_spans(&self, trace_id: u64) -> Vec<SpanRecord> {
         let g = self.lock();
         let mut out = Vec::new();
@@ -253,11 +247,16 @@ impl TraceStore {
         out
     }
 
-    /// Drain every completed trace (folding in matching orphan
-    /// spans), oldest first. This is what `OP_TRACES` serves.
-    pub fn take(&self) -> Vec<Trace> {
+    /// Drain the completed traces with `trace_id`, or every trace
+    /// when it is 0 (a minted id never is), oldest first, folding in
+    /// their parked orphan spans. Other traces stay. This is what
+    /// `OP_TRACES` serves.
+    pub fn take(&self, trace_id: u64) -> Vec<Trace> {
         let mut g = self.lock();
-        let mut traces: Vec<Trace> = g.traces.drain(..).collect();
+        let (mut traces, kept): (Vec<Trace>, Vec<Trace>) = std::mem::take(&mut g.traces)
+            .into_iter()
+            .partition(|t| trace_id == 0 || t.trace_id == trace_id);
+        g.traces = kept.into();
         let mut keep = VecDeque::with_capacity(g.orphans.len());
         for s in g.orphans.drain(..) {
             if let Some(t) = traces.iter_mut().find(|t| t.trace_id == s.trace_id) {
@@ -619,7 +618,7 @@ mod record {
     //! generation, guards, and the promotion decision.
 
     use super::{
-        head_sample, store, SpanHandoff, SpanRecord, Trace, TraceContext, FLAG_FORCED,
+        store, SpanHandoff, SpanRecord, Trace, TraceContext, FLAG_FORCED, HEAD_SAMPLE,
         MAX_REQUEST_SPANS, TRACE_SPANS_DROPPED,
     };
     use std::borrow::Cow;
@@ -638,14 +637,10 @@ mod record {
 
     #[inline(always)]
     fn head_sampled() -> bool {
-        let n = head_sample();
-        if n == 0 {
-            return false;
-        }
         HEAD_LEFT.with(|c| {
             let left = c.get();
             if left <= 1 {
-                c.set(n);
+                c.set(HEAD_SAMPLE);
                 true
             } else {
                 c.set(left - 1);
@@ -755,10 +750,6 @@ mod record {
             parent_id: u64,
             start: Instant,
         },
-        /// `begin` while a trace was already active on this thread:
-        /// the guard degrades to a plain child span, held only so its
-        /// `Drop` records the span when the guard closes.
-        Child(#[allow(dead_code)] SpanGuard),
         /// A fresh trace that missed the head-sample: nothing is
         /// recorded and no thread state is armed, so child spans are
         /// inert and the guard costs a few branches. If the request
@@ -774,14 +765,14 @@ mod record {
         },
     }
 
-    /// Start a request. A wire context, the forced flag, or the 1/N
-    /// head-sample turn on full span recording (with a context the
-    /// request joins the caller's trace, root span parented on the
-    /// caller's span); any other request gets a lazy guard that
-    /// records nothing unless it ends slow or errored. Returns an
-    /// inert guard while the kill switch is off. If a trace is
-    /// already active on this thread a recording guard degrades to a
-    /// child span (a lazy one deliberately skips even that check).
+    /// Start a request. A wire context, the forced flag, or the
+    /// 1-in-[`HEAD_SAMPLE`] head-sample turn on full span recording
+    /// (with a context the request joins the caller's trace, root span
+    /// parented on the caller's span); any other request gets a lazy
+    /// guard that records nothing unless it ends slow or errored. Returns an
+    /// inert guard while the kill switch is off, and in place of a
+    /// recording guard while a trace is already active on this thread
+    /// (a lazy one deliberately skips even that check).
     #[inline(always)]
     pub fn begin(name: &'static str, ctx: Option<TraceContext>) -> RequestGuard {
         if ctx.is_none() && !head_sampled() {
@@ -805,8 +796,9 @@ mod record {
     }
 
     /// Start a fresh root trace that records fully and will be
-    /// promoted unconditionally — the client-side entry for
-    /// `trace_route`.
+    /// promoted unconditionally. Client calls made under it carry its
+    /// context with [`FLAG_FORCED`], so every node they reach stores
+    /// its part (`ClusterClient::trace_route` is one such root).
     pub fn begin_forced(name: &'static str) -> RequestGuard {
         if !crate::enabled() {
             return RequestGuard { inner: None };
@@ -823,9 +815,7 @@ mod record {
         force: bool,
     ) -> RequestGuard {
         if ACTIVE.with(|a| a.borrow().is_some()) {
-            return RequestGuard {
-                inner: Some(Inner::Child(span(name))),
-            };
+            return RequestGuard { inner: None };
         }
         let (trace_id, parent_id, promote) = match ctx {
             Some(c) => (c.trace_id.max(1), c.span_id, force || c.forced()),
@@ -855,10 +845,8 @@ mod record {
     /// request turns out slow or errored: timestamps are reconstructed
     /// at close from the caller-measured duration (the servers pass
     /// the same elapsed time the slow log records).
-    fn lazy_trace(name: Cow<'static, str>, trace_id: u64, dur: Option<Duration>) -> Trace {
-        let dur_us = dur
-            .map(|d| d.as_micros().min(u64::MAX as u128) as u64)
-            .unwrap_or(0);
+    fn lazy_trace(name: Cow<'static, str>, trace_id: u64, dur: Duration) -> Trace {
+        let dur_us = dur.as_micros().min(u64::MAX as u128) as u64;
         Trace {
             trace_id,
             spans: vec![SpanRecord {
@@ -923,7 +911,6 @@ mod record {
                 Some(Inner::Root { .. }) => ACTIVE
                     .with(|a| a.borrow().as_ref().map(|t| t.trace_id))
                     .unwrap_or(0),
-                Some(Inner::Child(_)) => current_trace_id(),
                 Some(Inner::Lazy { .. }) if !crate::enabled() => 0,
                 Some(Inner::Lazy { trace_id, .. }) => {
                     if trace_id.get() == 0 {
@@ -936,9 +923,9 @@ mod record {
         }
 
         /// Out of line: only sampled, slow, or errored requests get
-        /// here, so the inlined `finish*` fast paths stay small.
+        /// here, so the inlined `finish` fast path stays small.
         #[inline(never)]
-        fn close(&mut self, dur: Option<Duration>, slow: bool, error: bool) {
+        fn close(&mut self, dur: Duration, slow: bool, error: bool) {
             match self.inner.take() {
                 Some(Inner::Root {
                     name,
@@ -961,67 +948,26 @@ mod record {
                     };
                     store().promote(lazy_trace(Cow::Borrowed(name), id, dur));
                 }
-                // A fast/clean Lazy is discarded; a Child inner
-                // records itself on drop; None is inert.
+                // A fast/clean Lazy is discarded; None is inert.
                 _ => {}
             }
         }
 
         /// Close the request: promote the trace to the global store
         /// iff it ended slow, errored, was head-sampled, or carried
-        /// the forced flag.
-        #[inline(always)]
-        pub fn finish(mut self, slow: bool, error: bool) {
-            if !slow && !error && matches!(self.inner, Some(Inner::Lazy { .. })) {
-                // Nothing recorded, nothing to promote; a lazy guard
-                // owns no heap or thread state, so skip its drop glue.
-                std::mem::forget(self);
-                return;
-            }
-            self.close(None, slow, error);
-        }
-
-        /// [`RequestGuard::finish`] with the caller-measured request
-        /// duration, so a lazy guard promoted by tail criteria can
-        /// reconstruct its root span's timing. The servers pass the
+        /// the forced flag. `dur` is the caller-measured request
+        /// duration, from which a lazy guard promoted by tail criteria
+        /// reconstructs its root span's timing; the servers pass the
         /// same elapsed time their slow log records.
         #[inline(always)]
-        pub fn finish_timed(mut self, dur: Duration, slow: bool, error: bool) {
+        pub fn finish(mut self, dur: Duration, slow: bool, error: bool) {
             if !slow && !error && matches!(self.inner, Some(Inner::Lazy { .. })) {
                 // Nothing recorded, nothing to promote; a lazy guard
                 // owns no heap or thread state, so skip its drop glue.
                 std::mem::forget(self);
                 return;
             }
-            self.close(Some(dur), slow, error);
-        }
-
-        /// Close the request and hand its spans back to the caller
-        /// instead of promoting (the `trace_route` assembly path).
-        /// Returns `(0, [])` when inert or nested; a lazy guard
-        /// yields its minted id and a single zero-duration root span.
-        pub fn finish_collect(mut self) -> (u64, Vec<SpanRecord>) {
-            match self.inner.take() {
-                Some(Inner::Root {
-                    name,
-                    span_id,
-                    parent_id,
-                    start,
-                }) => match close_recording(name, span_id, parent_id, start) {
-                    Some((trace, _)) => (trace.trace_id, trace.spans),
-                    None => (0, Vec::new()),
-                },
-                Some(Inner::Lazy { name, trace_id }) => {
-                    let id = if trace_id.get() != 0 {
-                        trace_id.get()
-                    } else {
-                        next_id()
-                    };
-                    let t = lazy_trace(Cow::Borrowed(name), id, None);
-                    (id, t.spans)
-                }
-                _ => (0, Vec::new()),
-            }
+            self.close(dur, slow, error);
         }
     }
 
@@ -1120,13 +1066,16 @@ mod record {
     }
 
     /// The thread's active trace context with the current span as the
-    /// parent — what a client attaches to an outgoing frame.
-    pub fn current_context(forced: bool) -> Option<TraceContext> {
+    /// parent — what a client attaches to every outgoing frame. Carries
+    /// [`FLAG_FORCED`] when the active trace will be stored (forced,
+    /// head-sampled, or joined from a forced caller), so each callee
+    /// stores its part too. `None` when no trace is active.
+    pub fn current_context() -> Option<TraceContext> {
         ACTIVE.with(|a| {
             a.borrow().as_ref().map(|st| TraceContext {
                 trace_id: st.trace_id,
                 span_id: st.current,
-                flags: if forced { FLAG_FORCED } else { 0 },
+                flags: if st.promote { FLAG_FORCED } else { 0 },
             })
         })
     }
@@ -1292,9 +1241,9 @@ mod tests {
                 let _inner = span("grandchild");
             }
             assert_eq!(current_trace_id(), trace_id);
-            req.finish(false, false);
+            req.finish(Duration::ZERO, false, false);
             assert_eq!(current_trace_id(), 0, "thread state cleared");
-            let traces = store().take();
+            let traces = store().take(trace_id);
             let t = traces
                 .iter()
                 .find(|t| t.trace_id == trace_id)
@@ -1309,17 +1258,26 @@ mod tests {
             assert_eq!((child.a, child.b), (5, 7));
         }
 
+        /// The first `begin` guard that missed the head-sample: a
+        /// sampled guard arms the thread's trace, a lazy one does not.
+        fn lazy_begin(name: &'static str) -> RequestGuard {
+            loop {
+                let req = begin(name, None);
+                if current_trace_id() == 0 {
+                    return req;
+                }
+                req.finish(Duration::ZERO, false, false);
+            }
+        }
+
         #[test]
         fn unsampled_fast_clean_trace_is_discarded() {
             let _g = guard();
-            let prev = head_sample();
-            set_head_sample(0); // no head sampling
-            let req = begin("test:quiet", None);
+            let req = lazy_begin("test:quiet");
             let trace_id = req.trace_id();
-            req.finish(false, false);
-            set_head_sample(prev);
+            req.finish(Duration::ZERO, false, false);
             assert!(
-                !store().take().iter().any(|t| t.trace_id == trace_id),
+                store().take(trace_id).is_empty(),
                 "fast clean unsampled trace must not be promoted"
             );
         }
@@ -1327,18 +1285,16 @@ mod tests {
         #[test]
         fn slow_or_error_traces_are_promoted() {
             let _g = guard();
-            let prev = head_sample();
-            set_head_sample(0);
-            let slow = begin("test:slow", None);
+            let slow = lazy_begin("test:slow");
             let slow_id = slow.trace_id();
-            slow.finish(true, false);
-            let err = begin("test:err", None);
+            slow.finish(Duration::from_micros(40), true, false);
+            let err = lazy_begin("test:err");
             let err_id = err.trace_id();
-            err.finish(false, true);
-            set_head_sample(prev);
-            let traces = store().take();
-            assert!(traces.iter().any(|t| t.trace_id == slow_id));
-            assert!(traces.iter().any(|t| t.trace_id == err_id));
+            err.finish(Duration::ZERO, false, true);
+            let slow_trace = store().take(slow_id);
+            assert_eq!(slow_trace.len(), 1);
+            assert_eq!(slow_trace[0].spans[0].dur_us, 40, "root timed from `dur`");
+            assert_eq!(store().take(err_id).len(), 1);
         }
 
         #[test]
@@ -1351,11 +1307,18 @@ mod tests {
             };
             let req = begin("test:server", Some(ctx));
             assert_eq!(req.trace_id(), ctx.trace_id);
-            let attached = current_context(true).unwrap();
+            let attached = current_context().unwrap();
             assert_eq!(attached.trace_id, ctx.trace_id);
             assert_ne!(attached.span_id, 99, "current span is the server root");
-            req.finish(false, false);
-            let traces = store().take();
+            assert!(attached.forced(), "a stored trace forwards the forced flag");
+            assert_eq!(
+                begin_forced("test:nested").trace_id(),
+                0,
+                "a recording guard under an active trace is inert"
+            );
+            req.finish(Duration::ZERO, false, false);
+            assert_eq!(current_context(), None);
+            let traces = store().take(ctx.trace_id);
             let t = traces
                 .iter()
                 .find(|t| t.trace_id == ctx.trace_id)
@@ -1373,10 +1336,10 @@ mod tests {
                 handoff().expect("active trace")
             };
             assert_eq!(h.trace_id, trace_id);
-            req.finish(false, false);
+            req.finish(Duration::ZERO, false, false);
             // Worker side, after the request completed.
             record_linked(h, "compact", Duration::from_micros(123), 1, 2);
-            let traces = store().take();
+            let traces = store().take(trace_id);
             let t = traces.iter().find(|t| t.trace_id == trace_id).unwrap();
             let linked = t.spans.iter().find(|s| s.name == "compact").unwrap();
             assert_eq!(linked.link_id, h.span_id);
@@ -1392,21 +1355,25 @@ mod tests {
             };
             record_linked(h, "early-compact", Duration::from_micros(5), 0, 0);
             // Not promoted yet: take() leaves the orphan parked.
-            assert!(!store().take().iter().any(|t| t.trace_id == h.trace_id));
-            store().promote(Trace {
-                trace_id: h.trace_id,
-                spans: Vec::new(),
-            });
-            let traces = store().take();
-            let t = traces.iter().find(|t| t.trace_id == h.trace_id).unwrap();
-            assert!(t.spans.iter().any(|s| s.name == "early-compact"));
+            assert!(store().take(h.trace_id).is_empty());
+            let bystander = h.trace_id + 1;
+            for trace_id in [bystander, h.trace_id] {
+                store().promote(Trace {
+                    trace_id,
+                    spans: Vec::new(),
+                });
+            }
+            let traces = store().take(h.trace_id);
+            assert_eq!(traces.len(), 1, "only the named trace drains");
+            assert!(traces[0].spans.iter().any(|s| s.name == "early-compact"));
+            assert_eq!(store().take(bystander).len(), 1, "the other trace stays");
         }
 
         #[test]
         fn store_is_bounded_and_counts_drops() {
             let _g = guard();
             let before = TRACES_DROPPED.get();
-            store().take();
+            store().take(0);
             for i in 0..(super::MAX_TRACES as u64 + 10) {
                 store().promote(Trace {
                     trace_id: 0x5000_0000 + i,
@@ -1415,19 +1382,7 @@ mod tests {
             }
             assert_eq!(store().len(), super::MAX_TRACES);
             assert!(TRACES_DROPPED.get() >= before + 10);
-            store().take();
-        }
-
-        #[test]
-        fn collect_returns_spans_without_promoting() {
-            let _g = guard();
-            let req = begin_forced("test:collect");
-            let _sp = span("leg");
-            drop(_sp);
-            let (trace_id, spans) = req.finish_collect();
-            assert_ne!(trace_id, 0);
-            assert_eq!(spans.len(), 2);
-            assert!(!store().take().iter().any(|t| t.trace_id == trace_id));
+            store().take(0);
         }
     }
 }

@@ -243,6 +243,7 @@ mod tests {
         assert_eq!(snap.counts()[0], 1);
         assert_eq!(snap.counts()[1], 1);
         assert_eq!(snap.sum(), 1);
+        assert_eq!(snap.quantile_ns(0.25), 0);
     }
 
     #[test]
@@ -270,6 +271,7 @@ mod tests {
         let p99 = snap.quantile_ns(0.99);
         assert!((1_000..2_048).contains(&p50), "p50 {p50}");
         assert!((1_000_000..2_097_152).contains(&p99), "p99 {p99}");
+        assert!(snap.quantile_ns(0.0) > 0);
         assert_eq!(HistogramSnapshot::default().quantile_ns(0.99), 0);
         // All-zero samples quantile to the zero bucket's edge.
         let z = Histogram::new();

@@ -1,8 +1,8 @@
 //! Distributed-trace viewer: trace one routed request across a
 //! two-node cluster and emit the assembled cross-process trace as
 //! Chrome `trace_event` JSON — open the file in `about:tracing` or
-//! https://ui.perfetto.dev to see client routing, per-node RPCs,
-//! server dispatch, and engine spans on one timeline.
+//! https://ui.perfetto.dev to see the client's root span and each
+//! node's request, dispatch and engine spans on one timeline.
 //!
 //! ```text
 //! cargo run --release --example trace_viewer > trace.json
@@ -31,11 +31,12 @@ fn main() {
         cluster.insert(&name, &keys).expect("insert");
     }
 
-    // Trace one routed request: the client opens a forced root span,
-    // every RPC carries the trace context on the wire, each server
-    // records its dispatch and engine spans under that context, and
-    // `trace_route` drains the per-node stores and merges everything
-    // into one cross-process trace.
+    // Trace one routed request: the client opens a forced root span
+    // around an ordinary cluster-wide MULTI_CONTAINS, every frame it
+    // sends carries the trace context, each server records its
+    // dispatch and engine spans under that context, and `trace_route`
+    // drains this one trace from the local and per-node stores and
+    // merges it into one cross-process trace.
     let trace = cluster.trace_route(keys[0]).expect("trace_route");
     eprintln!(
         "assembled trace {:#018x}: {} spans across {} processes/threads",

@@ -16,6 +16,7 @@ use beyond_bloom::service::{
     build_sharded_two_choice, Backend, ClientError, ClusterClient, ErrorCode, EventedFilterServer,
     FilterClient, Request, Response, ServerConfig, ServerMetrics, DEFAULT_MAX_FRAME,
 };
+use beyond_bloom::telemetry::trace;
 use beyond_bloom::workloads::{disjoint_keys, unique_keys, zipf_keys};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -1653,9 +1654,22 @@ fn trace_route_assembles_one_cross_process_trace() {
         .insert("tr-lsm", &unique_keys(7_790, 1_023))
         .unwrap();
 
-    // ---- Phase 1: a plain traced probe assembles end to end. ----
+    // ---- Phase 1: a plain traced probe assembles end to end, and
+    // collecting it leaves every other trace where it was. ----
+    let store = trace::store();
+    let bystander = {
+        let root = trace::begin_forced("test:bystander");
+        let trace_id = root.trace_id();
+        root.finish(Duration::ZERO, false, false);
+        trace_id
+    };
     let trace = cluster.trace_route(0xfee1_600d).expect("trace_route");
     assert_ne!(trace.trace_id, 0);
+    assert!(
+        !store.peek_spans(bystander).is_empty(),
+        "collecting one trace drained another"
+    );
+    assert_eq!(store.take(bystander).len(), 1);
     assert!(
         trace.spans.len() >= 6,
         "expected >= 6 spans, got {}: {:?}",
@@ -1687,30 +1701,15 @@ fn trace_route_assembles_one_cross_process_trace() {
         }
     }
     let count = |name: &str| trace.spans.iter().filter(|s| s.name == name).count();
-    // One server-side request span per node, each parented onto its
-    // own client-side rpc span (the cross-process edge the wire
-    // context exists for).
+    // One server-side request span per node, each parented onto the
+    // client's root (the cross-process edge the wire context exists
+    // for).
     assert_eq!(count("server:request"), 2);
-    let rpc_ids: std::collections::HashSet<u64> = trace
-        .spans
-        .iter()
-        .filter(|s| s.name.starts_with("rpc:"))
-        .map(|s| s.span_id)
-        .collect();
-    assert_eq!(rpc_ids.len(), 2, "one rpc span per node");
     for s in trace.spans.iter().filter(|s| s.name == "server:request") {
-        assert!(
-            rpc_ids.contains(&s.parent_id),
-            "server span must parent onto a client rpc span: {s:?}"
+        assert_eq!(
+            s.parent_id, roots[0].span_id,
+            "server span must parent onto the client root: {s:?}"
         );
-        assert_eq!(roots[0].span_id, {
-            let rpc = trace
-                .spans
-                .iter()
-                .find(|r| r.span_id == s.parent_id)
-                .unwrap();
-            rpc.parent_id
-        });
     }
     // Engine and index layers reported under each server request.
     assert_eq!(count("engine:multi_contains"), 2);
@@ -1722,33 +1721,48 @@ fn trace_route_assembles_one_cross_process_trace() {
         .expect("a non-trivial scan (words counted)");
     assert!(scan.a >= 1, "scan records tenants");
 
-    // ---- Phase 2: a traced insert that seals links the background
-    // compaction into the same trace. ----
-    let pending = cluster
-        .trace_route_begin(0x5ea1_ab1e, Some("tr-lsm"))
-        .expect("traced insert + probe");
-    assert_ne!(pending.trace_id, 0);
+    // ---- Phase 2: any cluster call under a forced root is traced on
+    // every node it reaches; an insert that seals links the
+    // background compaction into the same trace. ----
+    let root = trace::begin_forced("test:insert_and_probe");
+    let trace_id = root.trace_id();
+    assert_ne!(trace_id, 0);
+    cluster
+        .insert("tr-lsm", &[0x5ea1_ab1e])
+        .expect("traced insert");
+    cluster
+        .multi_contains(&[0x5ea1_ab1e])
+        .expect("traced probe");
+    root.finish(Duration::ZERO, false, false);
     // All servers run in-process, so the shared trace store lets the
-    // test wait (non-destructively) for the compactor's linked span
-    // before the destructive collection drain.
-    let store = beyond_bloom::telemetry::trace::store();
+    // test wait (without draining) for the compactor's linked span
+    // before collection drains the trace.
     let deadline = Instant::now() + Duration::from_secs(10);
     while !store
-        .peek_spans(pending.trace_id)
+        .peek_spans(trace_id)
         .iter()
         .any(|s| s.name == "compacting:compact")
     {
         assert!(
             Instant::now() < deadline,
             "compaction span never linked; spans so far: {:?}",
-            store.peek_spans(pending.trace_id)
+            store.peek_spans(trace_id)
         );
         std::thread::sleep(Duration::from_millis(5));
     }
-    let trace2 = cluster.trace_collect(pending).expect("collect");
+    let trace2 = cluster.collect_trace(trace_id).expect("collect");
     assert_ne!(
         trace2.trace_id, trace.trace_id,
         "fresh trace id per request"
+    );
+    assert_eq!(
+        trace2
+            .spans
+            .iter()
+            .filter(|s| s.name == "server:request")
+            .count(),
+        3,
+        "the INSERT on its owner and the MULTI_CONTAINS on both nodes"
     );
     let ids2: std::collections::HashSet<u64> = trace2.spans.iter().map(|s| s.span_id).collect();
     let compact = trace2
@@ -1769,35 +1783,10 @@ fn trace_route_assembles_one_cross_process_trace() {
 
     // ---- Phase 3: the merged trace renders as Chrome trace_event
     // JSON (loadable in about:tracing / Perfetto). ----
-    let json_text =
-        beyond_bloom::telemetry::trace::chrome_trace_json(std::slice::from_ref(&trace2));
+    let json_text = trace::chrome_trace_json(std::slice::from_ref(&trace2));
     check_chrome_json(&json_text, trace2.trace_id, true);
 
-    // And the wire surface serves the same format: a forced traced
-    // call against one node, then OP_TRACES with json=true.
-    let mut direct = FilterClient::connect(addr_a).unwrap();
-    let ctx = beyond_bloom::telemetry::trace::TraceContext {
-        trace_id: 0x00c0_ffee_0a11_d00d,
-        span_id: 0x1,
-        flags: beyond_bloom::telemetry::trace::FLAG_FORCED,
-    };
-    direct
-        .call_traced(&Request::MultiContains { keys: vec![5] }, Some(ctx))
-        .unwrap();
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while store.peek_spans(ctx.trace_id).is_empty() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let wire_json = direct.traces_json().unwrap();
-    let doc = beyond_bloom::telemetry::trace::json::parse(&wire_json).expect("wire JSON parses");
-    assert!(
-        doc.get("traceEvents")
-            .and_then(beyond_bloom::telemetry::trace::json::Json::items)
-            .is_some_and(|evs| !evs.is_empty()),
-        "OP_TRACES json dump must carry the forced trace:\n{wire_json}"
-    );
-
-    drop((cluster, direct));
+    drop(cluster);
     node_a.shutdown();
     node_b.shutdown();
 }

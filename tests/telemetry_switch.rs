@@ -10,15 +10,17 @@
 //! panic.
 
 use beyond_bloom::service::engine::{dispatch, Engine};
+use beyond_bloom::service::proto::{write_frame_traced, FrameEvent, FrameReader};
 use beyond_bloom::service::{
-    Backend, EventedFilterServer, FilterClient, Request, Response, ServerConfig,
+    Backend, EventedFilterServer, FilterClient, Request, Response, ServerConfig, DEFAULT_MAX_FRAME,
 };
 use beyond_bloom::telemetry::trace::{self, SpanHandoff, TraceContext, FLAG_FORCED};
 use beyond_bloom::telemetry::{self, expo, StaticCounter, StaticGauge, StaticHistogram};
 use beyond_bloom::workloads::{disjoint_keys, unique_keys};
 use std::collections::BTreeSet;
+use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 static SWITCH_LOCK: Mutex<()> = Mutex::new(());
 
@@ -105,14 +107,14 @@ fn traced_request() -> (u64, Option<SpanHandoff>) {
         let _child = trace::span("test:child");
         trace::handoff()
     };
-    req.finish(false, false);
+    req.finish(Duration::ZERO, false, false);
     (trace_id, handoff)
 }
 
 #[test]
 fn switched_off_tracer_records_nothing() {
     let switch = Switch::lock();
-    trace::store().take();
+    trace::store().take(0);
     let parked = SpanHandoff {
         trace_id: 0x5717_c400_0000_0001,
         span_id: 7,
@@ -149,7 +151,7 @@ fn switched_off_tracer_records_nothing() {
         BTreeSet::from(["test:request", "test:child", "test:linked"].map(String::from)),
         "switched back on, the root, its child and the linked span record"
     );
-    trace::store().take();
+    trace::store().take(0);
 }
 
 #[test]
@@ -160,7 +162,11 @@ fn switched_off_server_answers_forced_traces_but_keeps_none() {
     c.create("sw", Backend::AtomicBloom, 1_000, 0.01, 0, 1)
         .unwrap();
     c.insert("sw", &[1, 2, 3]).unwrap();
-    let probe = |c: &mut FilterClient, trace_id: u64| {
+    // A switched-off client thread attaches no context, so the forced
+    // context goes on the wire by hand.
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect raw");
+    let mut answers = FrameReader::new(raw.try_clone().expect("clone"), DEFAULT_MAX_FRAME);
+    let mut probe = |trace_id: u64| {
         let ctx = TraceContext {
             trace_id,
             span_id: 1,
@@ -170,35 +176,37 @@ fn switched_off_server_answers_forced_traces_but_keeps_none() {
             name: "sw".to_string(),
             keys: vec![1, 2, 3],
         };
-        c.call_traced(&req, Some(ctx))
-            .expect("forced-traced CONTAINS")
+        write_frame_traced(&mut raw, &req.encode(), Some(&ctx)).expect("send");
+        match answers.read_frame().expect("forced-traced CONTAINS") {
+            FrameEvent::Frame(payload, _) => Response::decode(&payload).expect("decode"),
+            FrameEvent::Closed => panic!("the server closed the connection"),
+        }
     };
     let (off_id, on_id) = (0x5717_c400_0000_0002, 0x5717_c400_0000_0003);
     switch.set(false);
-    let off_answer = probe(&mut c, off_id);
+    let off_answer = probe(off_id);
     switch.set(true);
-    let on_answer = probe(&mut c, on_id);
+    let on_answer = probe(on_id);
     assert_eq!(off_answer, Response::Bools(vec![true; 3]));
     assert_eq!(on_answer, off_answer);
 
-    // A server promotes a trace just after writing its response, so
-    // poll until the switched-on trace lands. Both requests ran in
-    // order on one connection, so a trace of the switched-off one
-    // would have landed first.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let mut seen = Vec::new();
-    while !seen.contains(&on_id) {
-        assert!(
-            Instant::now() < deadline,
-            "the switched-on forced trace never reached TRACES"
-        );
-        seen.extend(c.traces().expect("TRACES").iter().map(|t| t.trace_id));
-    }
+    // A server stores a request's trace before it answers, so both
+    // answers above mean every trace they will ever store is stored.
+    let seen: Vec<u64> = c
+        .traces(0)
+        .expect("TRACES")
+        .iter()
+        .map(|t| t.trace_id)
+        .collect();
+    assert!(
+        seen.contains(&on_id),
+        "the switched-on forced trace never reached TRACES"
+    );
     assert!(
         !seen.contains(&off_id),
         "TRACES returned the switched-off request's trace"
     );
-    drop(c);
+    drop((c, raw, answers));
     server.shutdown();
 }
 
@@ -225,7 +233,7 @@ fn slow_log_names_only_traces_that_traces_returns() {
     // Each trace is promoted before its response is written, so the
     // answers above mean every trace they will ever store is stored.
     let returned: BTreeSet<u64> = c
-        .traces()
+        .traces(0)
         .expect("TRACES")
         .iter()
         .map(|t| t.trace_id)

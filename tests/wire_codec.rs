@@ -1,7 +1,8 @@
 //! The wire codec on its own: the sans-I/O frame decoder fed every
 //! way a stream can be cut, the one-write frame encoder, the blocking
-//! `FrameReader` pump over it, and mutated payloads that must never
-//! panic the payload decoders or the engine behind them.
+//! `FrameReader` pump over it, the trace context a client puts on its
+//! frames, and mutated payloads that must never panic the payload
+//! decoders or the engine behind them.
 
 mod common;
 
@@ -11,12 +12,14 @@ use beyond_bloom::service::proto::{
     FrameReader, FLAG_TRACE,
 };
 use beyond_bloom::service::{
-    Backend, ErrorCode, Request, Response, ServerConfig, DEFAULT_MAX_FRAME,
+    Backend, ErrorCode, FilterClient, Request, Response, ServerConfig, DEFAULT_MAX_FRAME,
 };
-use beyond_bloom::telemetry::trace::{SpanRecord, Trace, TraceContext, FLAG_FORCED};
+use beyond_bloom::telemetry::trace::{self, SpanRecord, Trace, TraceContext, FLAG_FORCED};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{self, Read, Write};
+use std::net::TcpListener;
+use std::time::Duration;
 
 type Decoded = (Vec<u8>, Option<TraceContext>);
 
@@ -288,6 +291,48 @@ fn frame_reader_reassembles_byte_reads_and_reports_each_failure() {
     );
 }
 
+/// A client puts the calling thread's trace context on every frame: none
+/// before a root opens, the root's trace with the forced flag under
+/// it, none again once it closes.
+#[test]
+fn client_frames_carry_the_threads_trace_context() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    // A fake server: records each frame's context and answers Ok.
+    let fake = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut frames = FrameReader::new(stream.try_clone().expect("clone"), DEFAULT_MAX_FRAME);
+        let mut contexts = Vec::new();
+        while let FrameEvent::Frame(_, ctx) = frames.read_frame().expect("read a frame") {
+            contexts.push(ctx);
+            write_frame(&mut stream, &Response::Ok.encode()).expect("answer");
+        }
+        contexts
+    });
+    let mut client = FilterClient::connect(addr).expect("connect");
+    let mut stats = || assert_eq!(client.call(&Request::Stats).expect("call"), Response::Ok);
+    stats();
+    let root = trace::begin_forced("test:root");
+    let trace_id = root.trace_id();
+    assert_ne!(trace_id, 0);
+    stats();
+    root.finish(Duration::ZERO, false, false);
+    stats();
+    drop(client);
+
+    let contexts = fake.join().expect("fake server");
+    assert_eq!(contexts.len(), 3);
+    assert_eq!(contexts[0], None, "a call before the root is untraced");
+    let under = contexts[1].expect("a call under a root carries its context");
+    assert_eq!(under.trace_id, trace_id);
+    assert!(under.forced(), "a forced root forwards the forced flag");
+    assert_eq!(
+        contexts[2], None,
+        "a call after the root closes is untraced"
+    );
+    trace::store().take(trace_id);
+}
+
 /// [`common::mutants`] of `bytes`, plus every truncation.
 fn mutants(bytes: &[u8], random: usize, rng: &mut StdRng) -> Vec<Vec<u8>> {
     let mut out = common::mutants(bytes, random, rng);
@@ -375,8 +420,10 @@ fn mutated_payloads_never_panic_the_decoders_or_dispatch() {
         Request::Snapshot { name: name() },
         Request::Forget { name: name() },
         Request::MultiContains { keys },
-        Request::Traces { json: false },
-        Request::Traces { json: true },
+        Request::Traces { trace_id: 0 },
+        Request::Traces {
+            trace_id: 0x5eed_7ace,
+        },
     ];
     for req in &requests {
         let engine = engine_with_filters();
