@@ -9,17 +9,7 @@ const N: usize = 100_000;
 
 fn bench_probes(c: &mut Criterion) {
     let keys = workloads::unique_keys(11, N);
-    let misses = workloads::disjoint_keys(12, N / 2, &keys);
-    // Half hits, half guaranteed misses.
-    let probes: Vec<u64> = (0..N)
-        .map(|i| {
-            if i % 2 == 0 {
-                keys[(i / 2) % keys.len()]
-            } else {
-                misses[(i / 2) % misses.len()]
-            }
-        })
-        .collect();
+    let probes = bench::harness::half_hit_probes(&keys, N, 12);
 
     let mut bloomf = bloom::BloomFilter::new(N, 0.01);
     let mut blocked = bloom::BlockedBloomFilter::new(N, 0.01);

@@ -4,16 +4,9 @@
 //! E21 companion; `cargo bench -p bench --bench simd`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use filter_core::simd::{self, SimdLevel};
+use filter_core::simd;
 
 const N: usize = 4096;
-
-fn levels() -> Vec<SimdLevel> {
-    [SimdLevel::Swar, SimdLevel::Sse2, SimdLevel::Avx2]
-        .into_iter()
-        .filter(|&l| l <= simd::detected_level())
-        .collect()
-}
 
 fn bench_simd(c: &mut Criterion) {
     let keys = workloads::unique_keys(31, N);
@@ -46,7 +39,7 @@ fn bench_simd(c: &mut Criterion) {
     let words: Vec<u64> = keys.iter().map(|&k| k | 1).collect();
 
     let mut g = c.benchmark_group("simd_kernels_4k");
-    for level in levels() {
+    for level in simd::usable_levels() {
         g.bench_function(format!("block_mask_256/{}", level.name()), |b| {
             b.iter(|| {
                 let mut acc = 0u64;

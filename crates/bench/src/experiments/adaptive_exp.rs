@@ -1,7 +1,7 @@
 //! E7 (adaptive filters under adversarial queries), E12 (stacked
 //! filters on hot negatives).
 
-use super::header;
+use crate::harness::header;
 use filter_core::{AdaptiveFilter, Filter, InsertFilter};
 use workloads::zipf::{rank_to_key, Zipf};
 use workloads::{disjoint_keys, unique_keys};

@@ -1,7 +1,7 @@
 //! E11 (LSM I/O savings), E13 (computational biology), E14 (URL
 //! yes/no lists).
 
-use super::header;
+use crate::harness::header;
 use lsm::{
     CompactionPolicy, FilterKind, FprAllocation, IndexMode, LsmConfig, LsmTree, RangeFilterKind,
 };

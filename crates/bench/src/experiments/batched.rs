@@ -13,27 +13,22 @@
 //! constructors, pointwise `insert` against `insert_batch` in batches
 //! of 64 keys, on the DRAM-resident size.
 //!
-//! Both tables use E22's paired protocol (`paired_rounds`), and
-//! every ratio is the median of per-round ratios, so host drift
+//! Both tables use the paired protocol ([`harness::paired_rounds`]),
+//! and every ratio is the median of per-round ratios, so host drift
 //! between passes cancels instead of landing on one side.
 //!
-//! Env knobs (for the CI perf-smoke job):
-//! - `E20_QUICK=1` shrinks sizes and repetitions to finish in seconds.
-//! - `E20_ASSERT=1` prints a `gate: PASS`/`gate: FAIL` line asserting
-//!   that the best batched probe width is at least 0.9× scalar for
-//!   every family, and batched insert at least 0.9× pointwise for
-//!   every served backend — an anti-pessimization gate, not a speedup
-//!   guarantee (shared CI boxes are too noisy to assert the win
-//!   itself).
+//! The gate is an anti-pessimization gate, not a speedup guarantee
+//! (shared CI boxes are too noisy to assert the win itself): the best
+//! batched probe width is at least 0.9× scalar for every family, and
+//! batched insert at least 0.9× pointwise for every served backend.
 
-use super::header;
+use crate::harness::{self, header, median, mops};
 use filter_core::{BatchedFilter, InsertFilter};
 use service::{
     build_atomic_bloom, build_compacting, build_sharded_cqf, build_sharded_cuckoo,
     build_sharded_register_bloom, build_sharded_two_choice,
 };
-use std::time::Instant;
-use workloads::{disjoint_keys, unique_keys};
+use workloads::unique_keys;
 
 /// Batch widths handed to `contains_many`; 32 equals `PROBE_CHUNK`.
 const WIDTHS: [usize; 4] = [1, 8, 32, 256];
@@ -56,35 +51,6 @@ struct FamilyResult {
     ratio: f64,
 }
 
-fn mops(ops: usize, t: std::time::Duration) -> f64 {
-    ops as f64 / t.as_secs_f64() / 1e6
-}
-
-/// E22's paired protocol: [`ROUNDS`] rounds, each timing one pass of
-/// every mode, in reverse order on odd rounds, so host drift between
-/// passes cancels in per-round ratios. `pass(mode)` runs one timed
-/// pass and returns its Mops; the result holds one row of Mops per
-/// round, indexed by mode.
-fn paired_rounds<const M: usize>(mut pass: impl FnMut(usize) -> f64) -> Vec<[f64; M]> {
-    (0..ROUNDS)
-        .map(|r| {
-            let mut row = [0.0; M];
-            for i in 0..M {
-                let mode = if r % 2 == 0 { i } else { M - 1 - i };
-                row[mode] = pass(mode);
-            }
-            row
-        })
-        .collect()
-}
-
-/// Median over the rounds of `of(row)`.
-fn median<const M: usize>(rounds: &[[f64; M]], of: impl Fn(&[f64; M]) -> f64) -> f64 {
-    let mut v: Vec<f64> = rounds.iter().map(of).collect();
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
-}
-
 /// Time scalar and batched probes over `probes`, each pass repeated
 /// until at least `target_ops` lookups have been issued. Mode 0 is
 /// the scalar loop, mode `1 + i` batch width `WIDTHS[i]`.
@@ -96,39 +62,47 @@ fn bench_family<F: BatchedFilter>(
 ) -> FamilyResult {
     let reps = (target_ops / probes.len()).max(1);
     let mut out = vec![false; probes.len()];
-    let rounds = paired_rounds::<5>(|mode| {
-        let t0 = Instant::now();
-        if mode == 0 {
-            let mut hits = 0usize;
-            for _ in 0..reps {
-                for &k in probes {
-                    hits += f.contains(k) as usize;
+    let rounds = harness::paired_rounds::<5>(ROUNDS, |mode| {
+        harness::time(|| {
+            if mode == 0 {
+                let mut hits = 0usize;
+                for _ in 0..reps {
+                    for &k in probes {
+                        hits += f.contains(k) as usize;
+                    }
                 }
-            }
-            std::hint::black_box(hits);
-        } else {
-            let w = WIDTHS[mode - 1];
-            for _ in 0..reps {
-                for (kc, oc) in probes.chunks(w).zip(out.chunks_mut(w)) {
-                    f.contains_many(kc, oc);
+                hits
+            } else {
+                let w = WIDTHS[mode - 1];
+                for _ in 0..reps {
+                    for (kc, oc) in probes.chunks(w).zip(out.chunks_mut(w)) {
+                        f.contains_many(kc, oc);
+                    }
                 }
+                std::hint::black_box(&out);
+                0
             }
-            std::hint::black_box(&out);
-        }
-        mops(reps * probes.len(), t0.elapsed())
+        })
     });
+    let rounds: Vec<[f64; 5]> = rounds
+        .iter()
+        .map(|r| r.map(|t| mops(reps * probes.len(), t)))
+        .collect();
     FamilyResult {
         name,
-        scalar_mops: median(&rounds, |r| r[0]),
-        width_mops: std::array::from_fn(|i| median(&rounds, |r| r[i + 1])),
-        ratio: median(&rounds, |r| {
-            r[1..].iter().cloned().fold(0.0, f64::max) / r[0]
-        }),
+        scalar_mops: median(rounds.iter().map(|r| r[0])),
+        width_mops: std::array::from_fn(|i| median(rounds.iter().map(|r| r[i + 1]))),
+        ratio: median(
+            rounds
+                .iter()
+                .map(|r| r[1..].iter().cloned().fold(0.0, f64::max) / r[0]),
+        ),
     }
 }
 
 /// Time inserting `keys` into fresh filters key by key (mode 0) and
-/// in batches of [`INSERT_BATCH`] (mode 1) with [`paired_rounds`].
+/// in batches of [`INSERT_BATCH`] (mode 1) with
+/// [`harness::paired_rounds`].
 /// Building and dropping (which joins a compacting filter's worker)
 /// are untimed. Returns the median pointwise Mops, the median batched
 /// Mops and the median per-round batched/pointwise ratio.
@@ -138,22 +112,26 @@ fn bench_insert<F>(
     insert_batch: impl Fn(&F, &[u64]),
     keys: &[u64],
 ) -> (f64, f64, f64) {
-    let rounds = paired_rounds::<2>(|mode| {
+    let rounds = harness::paired_rounds::<2>(ROUNDS, |mode| {
         let f = build();
-        let t0 = Instant::now();
-        if mode == 1 {
-            keys.chunks(INSERT_BATCH).for_each(|b| insert_batch(&f, b));
-        } else {
-            keys.iter().for_each(|&k| insert(&f, k));
-        }
-        let m = mops(keys.len(), t0.elapsed());
+        let t = harness::time(|| {
+            if mode == 1 {
+                keys.chunks(INSERT_BATCH).for_each(|b| insert_batch(&f, b));
+            } else {
+                keys.iter().for_each(|&k| insert(&f, k));
+            }
+        });
         drop(f);
-        m
+        t
     });
+    let rounds: Vec<[f64; 2]> = rounds
+        .iter()
+        .map(|r| r.map(|t| mops(keys.len(), t)))
+        .collect();
     (
-        median(&rounds, |r| r[0]),
-        median(&rounds, |r| r[1]),
-        median(&rounds, |r| r[1] / r[0]),
+        median(rounds.iter().map(|r| r[0])),
+        median(rounds.iter().map(|r| r[1])),
+        median(rounds.iter().map(|r| r[1] / r[0])),
     )
 }
 
@@ -247,33 +225,13 @@ pub fn e20_batched() -> bool {
          misses; the win grows with table size (DRAM-resident) and \
          batch width, and batched is never slower than scalar",
     );
-    let quick = std::env::var_os("E20_QUICK").is_some();
-    let assert_gate = std::env::var_os("E20_ASSERT").is_some();
-    // Cache-resident: the whole table fits in L2/L3. DRAM-resident:
-    // the table dwarfs LLC, so random probes are memory-bound.
-    let sizes: &[(&str, usize)] = if quick {
-        &[("cache", 1 << 15), ("dram", 1 << 19)]
-    } else {
-        &[("cache", 1 << 16), ("dram", 1 << 22)]
-    };
-    let target_ops = if quick { 1 << 19 } else { 1 << 22 };
+    let target_ops = harness::target_ops();
     let mut all_pass = true;
 
-    for &(size_label, n) in sizes {
+    for size in harness::size_ladder() {
+        let n = size.keys;
         let keys = unique_keys(2_020, n);
-        // Half members, half guaranteed misses: both probe outcomes
-        // walk the same index/prefetch path, so the mix keeps the
-        // measurement honest without favouring early-exit branches.
-        let n_probes = (n / 2).clamp(1 << 14, 1 << 18);
-        let misses = disjoint_keys(2_021, n_probes / 2, &keys);
-        let mut probes = Vec::with_capacity(n_probes);
-        for i in 0..n_probes {
-            if i % 2 == 0 {
-                probes.push(keys[(i / 2) % keys.len()]);
-            } else {
-                probes.push(misses[(i / 2) % misses.len()]);
-            }
-        }
+        let probes = harness::half_hit_probes(&keys, size.probes, 2_021);
 
         let mut results = Vec::new();
         {
@@ -315,8 +273,9 @@ pub fn e20_batched() -> bool {
         }
 
         println!(
-            "\n{size_label}-resident, n = {n} keys, {} probes (50% hits), \
+            "\n{}-resident, n = {n} keys, {} probes (50% hits), \
              median of {ROUNDS} paired rounds, Mops:",
+            size.label,
             probes.len()
         );
         println!(
@@ -340,14 +299,12 @@ pub fn e20_batched() -> bool {
         }
     }
 
-    all_pass &= insert_table(if quick { 1 << 19 } else { 1 << 21 });
+    all_pass &= insert_table(if harness::quick() { 1 << 19 } else { 1 << 21 });
 
-    if assert_gate {
-        println!(
-            "\ne20 gate (best batched width >= 0.9x scalar for every family, \
-             batched insert >= 0.9x pointwise for every served backend): {}",
-            if all_pass { "PASS" } else { "FAIL" }
-        );
-    }
-    true
+    harness::gate(
+        "e20",
+        "best batched width >= 0.9x scalar for every family, \
+         batched insert >= 0.9x pointwise for every served backend",
+        all_pass,
+    )
 }

@@ -14,36 +14,17 @@
 //! the index answers absent and single-tenant keys at least 20x
 //! faster per key than the flat scan.
 //!
-//! Env knobs (for the CI perf-smoke job):
-//! - `E26_QUICK=1` shrinks tenant counts to finish in seconds.
-//! - `E26_ASSERT=1` prints a `e26 gate: PASS`/`FAIL` line.
-//!
 //! Besides the human-readable table, the run writes `BENCH_E26.json`
 //! (see EXPERIMENTS.md for the schema): per tenant-count × probe-set
 //! per-key latencies and ratios, machine-readable for trend tracking.
 
-use super::header;
+use crate::harness::{self, header};
 use service::{build_atomic_bloom, ServedFilter, ServerConfig};
-use std::time::Instant;
 
 /// Keys inserted into every tenant filter.
 const KEYS_PER_FILTER: usize = 16;
 /// Tenants sharing the "many" hot-key set.
 const SHARED_FANIN: usize = 16;
-
-/// Best per-key nanoseconds over `runs` timed passes (after one
-/// warm-up pass): the gate compares a ratio, so scheduler noise on
-/// either side would flap it.
-fn best_ns_per_key(mut f: impl FnMut(), runs: usize, keys: usize) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_nanos() as f64 / keys as f64);
-    }
-    best
-}
 
 /// The j-th key of tenant `i` — disjoint across tenants and from
 /// both probe-only ranges below (the filters hash keys, so the
@@ -60,8 +41,7 @@ pub fn e26_bloofi() -> bool {
          which-filters-contain-key with one word AND per 64 tenants, \
          >=20x faster per key than scanning every registered filter",
     );
-    let quick = std::env::var_os("E26_QUICK").is_some();
-    let assert_gate = std::env::var_os("E26_ASSERT").is_some();
+    let quick = harness::quick();
     println!(
         "engine index geometry: {} blocks/summary ({} bytes per tenant)",
         bloofi::BLOCKS,
@@ -76,7 +56,7 @@ pub fn e26_bloofi() -> bool {
     let n_probes = if quick { 512 } else { 1_024 };
 
     let mut gate_pass = true;
-    let mut json_sizes = String::new();
+    let mut json_sizes = Vec::new();
 
     for &n in tenant_counts {
         let engine = service::engine::Engine::new(ServerConfig::default());
@@ -137,33 +117,23 @@ pub fn e26_bloofi() -> bool {
         // the larger tenant counts — per-key cost is what the ratio
         // needs, and 1k probes x 100k filters would dominate the run.
         let flat_probes = if n >= 50_000 { 128 } else { n_probes };
-        let mut json_sets = String::new();
+        let mut json_sets = Vec::new();
         let mut top_gate_ratio = f64::INFINITY;
         for (label, probes) in [("absent", &absent), ("one", &one), ("many", &many)] {
-            let mut sink = 0usize;
-            let index_ns = best_ns_per_key(
-                || sink += std::hint::black_box(engine.multi_contains(probes)).len(),
-                3,
-                probes.len(),
-            );
-            let flat_ns = best_ns_per_key(
-                || {
-                    sink += std::hint::black_box(engine.multi_contains_flat(&probes[..flat_probes]))
-                        .len()
-                },
-                if n >= 50_000 { 2 } else { 3 },
-                flat_probes,
-            );
-            std::hint::black_box(sink);
+            // Best of several passes: the gate compares a ratio, so
+            // scheduler noise on either side would flap it.
+            let index = harness::best_of(3, || engine.multi_contains(probes));
+            let index_ns = index.as_nanos() as f64 / probes.len() as f64;
+            let flat = harness::best_of(if n >= 50_000 { 2 } else { 3 }, || {
+                engine.multi_contains_flat(&probes[..flat_probes])
+            });
+            let flat_ns = flat.as_nanos() as f64 / flat_probes as f64;
             let ratio = flat_ns / index_ns;
             println!("{label:<10} {index_ns:>14.0} {flat_ns:>14.0} {ratio:>8.1}x");
             if label != "many" {
                 top_gate_ratio = top_gate_ratio.min(ratio);
             }
-            if !json_sets.is_empty() {
-                json_sets.push(',');
-            }
-            json_sets.push_str(&format!(
+            json_sets.push(format!(
                 "{{\"set\":\"{label}\",\"index_ns_per_key\":{index_ns:.1},\
                  \"flat_ns_per_key\":{flat_ns:.1},\"ratio\":{ratio:.2}}}"
             ));
@@ -177,32 +147,26 @@ pub fn e26_bloofi() -> bool {
             gate_pass = false;
         }
 
-        if !json_sizes.is_empty() {
-            json_sizes.push(',');
-        }
-        json_sizes.push_str(&format!(
-            "{{\"n_filters\":{n},\"index_mib\":{index_mib:.2},\"sets\":[{json_sets}]}}"
+        json_sizes.push(format!(
+            "{{\"n_filters\":{n},\"index_mib\":{index_mib:.2},\"sets\":[{}]}}",
+            json_sets.join(",")
         ));
     }
 
-    let json = format!(
-        "{{\"experiment\":\"e26\",\"quick\":{quick},\"blocks\":{},\
-         \"keys_per_filter\":{KEYS_PER_FILTER},\
-         \"shared_fanin\":{SHARED_FANIN},\"sizes\":[{json_sizes}],\
-         \"gate_pass\":{gate_pass}}}\n",
-        bloofi::BLOCKS
+    harness::write_json(
+        "e26",
+        &format!(
+            "\"blocks\":{},\"keys_per_filter\":{KEYS_PER_FILTER},\
+             \"shared_fanin\":{SHARED_FANIN},\"sizes\":[{}]",
+            bloofi::BLOCKS,
+            json_sizes.join(",")
+        ),
+        gate_pass,
     );
-    match std::fs::write("BENCH_E26.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_E26.json"),
-        Err(e) => println!("\ncould not write BENCH_E26.json: {e}"),
-    }
-
-    if assert_gate {
-        println!(
-            "\ne26 gate (index >= 20x flat scan per key on absent and \
-             single-tenant probes at the largest N): {}",
-            if gate_pass { "PASS" } else { "FAIL" }
-        );
-    }
-    true
+    harness::gate(
+        "e26",
+        "index >= 20x flat scan per key on absent and single-tenant \
+         probes at the largest N",
+        gate_pass,
+    )
 }

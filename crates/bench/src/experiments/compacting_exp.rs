@@ -18,17 +18,14 @@
 //!   epoch-swap design promises the reader keeps completing batches
 //!   (a blocking design would stall it for the entire fuse build).
 //!
-//! Env knobs (for the CI perf-smoke job):
-//! - `E23_QUICK=1` shrinks the key count to finish in seconds.
-//! - `E23_ASSERT=1` prints an `e23 gate: PASS`/`FAIL` line asserting
-//!   compacted space ≤ 9.5 bits/key, baseline ≥ 11 bits/key, and
-//!   reader progress during compaction.
+//! The gate: compacted space ≤ 9.5 bits/key, baseline ≥ 11
+//! bits/key, reader progress during compaction, and no false
+//! negatives.
 
-use super::header;
+use crate::harness::{self, header, mops};
 use compacting::{CompactingConfig, CompactingFilter};
 use filter_core::{BatchedFilter, Filter};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
 use workloads::{disjoint_keys, unique_keys};
 
 /// Steady-state gate for the compacting filter (bits/key at ε = 2⁻⁸
@@ -41,10 +38,6 @@ const MIN_BASELINE_BPK: f64 = 11.0;
 /// compaction is in flight (a blocking design completes ~0).
 const MIN_BATCHES_DURING_COMPACTION: u64 = 50;
 
-fn mops(ops: usize, secs: f64) -> f64 {
-    ops as f64 / secs / 1e6
-}
-
 /// E23: compacting filter space and availability vs mutable-only.
 pub fn e23_compacting() -> bool {
     header(
@@ -54,9 +47,7 @@ pub fn e23_compacting() -> bool {
          mutable-only) while background compaction never blocks \
          lookups",
     );
-    let quick = std::env::var_os("E23_QUICK").is_some();
-    let assert_gate = std::env::var_os("E23_ASSERT").is_some();
-    let n: usize = if quick { 200_000 } else { 1_000_000 };
+    let n: usize = if harness::quick() { 200_000 } else { 1_000_000 };
     let eps = 1.0 / 256.0;
     let keys = unique_keys(2_323, n);
     let neg = disjoint_keys(2_324, n, &keys);
@@ -65,14 +56,8 @@ pub fn e23_compacting() -> bool {
     // is dominated by the static tiers (the front adds ~0.4 bits/key).
     let cfg = CompactingConfig::new((n / 32).max(1024), eps, 42);
     let lsm = CompactingFilter::new(cfg);
-    let t0 = Instant::now();
-    for &k in &keys {
-        lsm.insert(k);
-    }
-    let insert_secs = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    lsm.compact_all();
-    let compact_secs = t0.elapsed().as_secs_f64();
+    let insert_secs = harness::time(|| keys.iter().for_each(|&k| lsm.insert(k))).as_secs_f64();
+    let compact_secs = harness::time(|| lsm.compact_all()).as_secs_f64();
     let lsm_bpk = lsm.size_in_bytes() as f64 * 8.0 / n as f64;
 
     // The mutable-only baseline, sized for the same capacity.
@@ -91,9 +76,10 @@ pub fn e23_compacting() -> bool {
     probes.truncate(n);
     let mut out = vec![false; probes.len()];
     let throughput = |f: &dyn BatchedFilter, out: &mut Vec<bool>| {
-        let t0 = Instant::now();
-        f.contains_many(&probes, out);
-        mops(probes.len(), t0.elapsed().as_secs_f64())
+        mops(
+            probes.len(),
+            harness::time(|| f.contains_many(&probes, out)),
+        )
     };
     let lsm_mops = throughput(&lsm, &mut out);
     let no_fn = keys.iter().all(|&k| lsm.contains(k));
@@ -114,16 +100,12 @@ pub fn e23_compacting() -> bool {
             let chunk = &probes[..4096.min(probes.len())];
             let mut out = vec![false; chunk.len()];
             while !stop.load(Ordering::Relaxed) {
-                let t0 = Instant::now();
-                lsm.contains_many(chunk, &mut out);
-                let ns = t0.elapsed().as_nanos() as u64;
+                let ns = harness::time(|| lsm.contains_many(chunk, &mut out)).as_nanos() as u64;
                 max_stall_ns.fetch_max(ns, Ordering::Relaxed);
                 batches.fetch_add(1, Ordering::Relaxed);
             }
         });
-        let t0 = Instant::now();
-        lsm.compact_all();
-        let secs = t0.elapsed().as_secs_f64();
+        let secs = harness::time(|| lsm.compact_all()).as_secs_f64();
         stop.store(true, Ordering::Relaxed);
         secs
     });
@@ -162,13 +144,13 @@ pub fn e23_compacting() -> bool {
     if !no_fn {
         println!("FALSE NEGATIVE detected after compaction!");
     }
-    if assert_gate {
-        println!(
-            "\ne23 gate (compacted ≤ {MAX_COMPACTED_BPK} bits/key, baseline ≥ \
+    harness::gate(
+        "e23",
+        &format!(
+            "compacted ≤ {MAX_COMPACTED_BPK} bits/key, baseline ≥ \
              {MIN_BASELINE_BPK}, ≥ {MIN_BATCHES_DURING_COMPACTION} reader \
-             batches during compaction, no false negatives): {}",
-            if all_pass { "PASS" } else { "FAIL" }
-        );
-    }
-    true
+             batches during compaction, no false negatives"
+        ),
+        all_pass,
+    )
 }

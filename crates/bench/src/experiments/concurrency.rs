@@ -14,7 +14,7 @@
 //! result is flat scaling (no speedup, and no collapse either); the
 //! sharded-vs-global-lock gap under contention is still visible.
 
-use super::header;
+use crate::harness::{header, mops};
 use bloom::AtomicBlockedBloomFilter;
 use quotient::ConcurrentQuotientFilter;
 use std::time::Instant;
@@ -48,10 +48,7 @@ fn run_threads<F: Sync>(
         }
     });
     let tq = t0.elapsed();
-    (
-        keys.len() as f64 / ti.as_secs_f64() / 1e6,
-        probes.len() as f64 / tq.as_secs_f64() / 1e6,
-    )
+    (mops(keys.len(), ti), mops(probes.len(), tq))
 }
 
 /// Print one structure's scaling table; returns the per-thread-count
@@ -86,8 +83,7 @@ pub fn e18_threads() -> bool {
         "E18 — thread scaling: sharded CQF and atomic blocked Bloom",
         "partitioned and lock-free filters scale across threads (§1 feature 6)",
     );
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    println!("hardware parallelism: {cores} (speedup > 1x requires cores > 1)\n");
+    println!("speedup > 1x requires more than one core\n");
 
     let keys = unique_keys(1800, N);
     let probes = disjoint_keys(1801, N, &keys);

@@ -1,6 +1,6 @@
 //! E9: counting filters on skewed multisets (§2.6).
 
-use super::header;
+use crate::harness::header;
 use filter_core::{CountingFilter, Filter};
 use std::collections::HashMap;
 use workloads::zipf::{rank_to_key, Zipf};

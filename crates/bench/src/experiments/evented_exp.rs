@@ -20,18 +20,16 @@
 //!    named filters; closed-loop batched CONTAINS reports keys/s and
 //!    p99 per process count.
 //!
-//! Environment:
-//! - `E24_QUICK=1` caps the tiers (C ∈ {8, 32}, N ∈ {1, 2}) and
-//!   shrinks the preload so the experiment finishes in seconds.
-//! - `E24_ASSERT=1` prints an `e24 gate: PASS`/`FAIL` line asserting
-//!   clean drains at every tier and keys/s at the highest connection
-//!   tier at least 0.5× the lowest tier's.
+//! A quick run caps the tiers (C ∈ {8, 32}, N ∈ {1, 2}) and shrinks
+//! the preload so the experiment finishes in seconds. The gate: clean
+//! drains at every tier, and keys/s at the highest connection tier at
+//! least 0.5× the lowest tier's.
 //!
 //! Caveat printed with the results: client drivers and servers
 //! time-share the same cores, so absolute numbers understate a real
 //! deployment; the *shape* across tiers is the claim under test.
 
-use super::header;
+use crate::harness::{gate, header, quick};
 use service::proto::{write_frame, FrameEvent, FrameReader, Request};
 use service::{
     Backend, ClusterClient, EventedFilterServer, FilterClient, HistogramSnapshot, LatencyHistogram,
@@ -46,10 +44,6 @@ const EPS: f64 = 1.0 / 256.0;
 const SEED: u64 = 0xe24;
 const BATCH: usize = 64;
 const DRIVER_THREADS: usize = 2;
-
-fn quick() -> bool {
-    std::env::var_os("E24_QUICK").is_some()
-}
 
 fn measure_window() -> Duration {
     if quick() {
@@ -229,11 +223,9 @@ pub fn e24_evented() -> bool {
         "readiness loops hold throughput as connections grow; consistent hashing spreads \
          named filters across server processes",
     );
-    let assert_gate = std::env::var_os("E24_ASSERT").is_some();
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!(
-        "hardware parallelism: {cores} (drivers and servers time-share; absolute numbers \
-         understate a real deployment — the shape across tiers is the claim)\n"
+        "load threads and servers time-share the cores; absolute numbers understate a real \
+         deployment — the shape across tiers is the claim\n"
     );
 
     let capacity: u64 = if quick() { 40_000 } else { 200_000 };
@@ -355,14 +347,12 @@ pub fn e24_evented() -> bool {
         }
     }
 
-    if assert_gate {
-        let pass = ratio >= 0.5 && drains_clean;
-        println!(
-            "\ne24 gate (keys/s at C={} ≥ 0.5x C={}, clean drains at every tier): {}",
-            top.0,
-            low.0,
-            if pass { "PASS" } else { "FAIL" }
-        );
-    }
-    true
+    gate(
+        "e24",
+        &format!(
+            "keys/s at C={} ≥ 0.5x C={}, clean drains at every tier",
+            top.0, low.0
+        ),
+        ratio >= 0.5 && drains_clean,
+    )
 }

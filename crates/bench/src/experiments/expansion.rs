@@ -1,7 +1,7 @@
 //! E4 (plain QF doubling degrades), E5 (chained filters' query cost),
 //! E6 (InfiniFilter expands with stable FPR and deletes).
 
-use super::header;
+use crate::harness::header;
 use crate::measure_fpr;
 use filter_core::{Expandable, Filter, InsertFilter};
 use workloads::{disjoint_keys, unique_keys};

@@ -1,6 +1,6 @@
 //! E8: maplet PRS/NRS table (§2.4).
 
-use super::header;
+use crate::harness::header;
 use filter_core::Maplet;
 use workloads::{disjoint_keys, unique_keys};
 

@@ -1,5 +1,6 @@
 //! Experiment implementations, one per quantitative claim in the
-//! tutorial (see DESIGN.md's experiment index).
+//! tutorial (see DESIGN.md's experiment index). `crate::harness`
+//! lists them by id and holds the measurement code they share.
 
 pub mod adaptive_exp;
 pub mod apps;
@@ -18,56 +19,3 @@ pub mod space_fpr;
 pub mod telemetry_exp;
 pub mod trace_exp;
 pub mod two_choice_exp;
-
-/// Run one experiment by id (`e1`..`e27`), or `all`.
-pub fn run(id: &str) -> bool {
-    match id {
-        "e1" | "e1-space" => space_fpr::e1_space(),
-        "e2" | "e2-fpr" => space_fpr::e2_fpr(),
-        "e3" | "e3-throughput" => space_fpr::e3_throughput(),
-        "e4" | "e4-qf-expand" => expansion::e4_qf_expand(),
-        "e5" | "e5-chain" => expansion::e5_chain(),
-        "e6" | "e6-infini" => expansion::e6_infini(),
-        "e7" | "e7-adaptive" => adaptive_exp::e7_adaptive(),
-        "e8" | "e8-maplet" => maplets::e8_maplet(),
-        "e9" | "e9-counting" => counting::e9_counting(),
-        "e10" | "e10-range" => range::e10_range(),
-        "e11" | "e11-lsm" => apps::e11_lsm(),
-        "e12" | "e12-stacked" => adaptive_exp::e12_stacked(),
-        "e13" | "e13-bio" => apps::e13_bio(),
-        "e14" | "e14-urls" => apps::e14_urls(),
-        "e15" | "e15-compaction" => apps::e15_compaction(),
-        "e16" | "e16-cascade" => apps::e16_cascade(),
-        "e17" | "e17-join" => apps::e17_join(),
-        "e18" | "e18-threads" => concurrency::e18_threads(),
-        "e19" | "e19-service" => service_exp::e19_service(),
-        "e20" | "e20-batched" => batched::e20_batched(),
-        "e21" | "e21-simd" => simd::e21_simd(),
-        "e22" | "e22-telemetry" => telemetry_exp::e22_telemetry(),
-        "e23" | "e23-compacting" => compacting_exp::e23_compacting(),
-        "e24" | "e24-evented" => evented_exp::e24_evented(),
-        "e25" | "e25-two-choice" => two_choice_exp::e25_two_choice(),
-        "e26" | "e26-bloofi" => bloofi_exp::e26_bloofi(),
-        "e27" | "e27-trace" => trace_exp::e27_trace(),
-        "all" => {
-            for e in [
-                "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
-                "e14", "e15", "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23", "e24", "e25",
-                "e26", "e27",
-            ] {
-                run(e);
-                println!();
-            }
-            true
-        }
-        _ => false,
-    }
-}
-
-/// Print an experiment header.
-pub(crate) fn header(id: &str, claim: &str) {
-    println!("==================================================================");
-    println!("{id}");
-    println!("paper claim: {claim}");
-    println!("------------------------------------------------------------------");
-}

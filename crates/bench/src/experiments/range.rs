@@ -1,6 +1,6 @@
 //! E10: range-filter robustness comparison (§2.5).
 
-use super::header;
+use crate::harness::header;
 use filter_core::RangeFilter;
 use rangefilter::{Grafite, Proteus, REncoder, Rosetta, Snarf, Surf};
 use workloads::CorrelatedRangeWorkload;

@@ -24,7 +24,7 @@
 //! batch size while per-request latency grows far slower — is the
 //! claim under test.
 
-use super::header;
+use crate::harness::header;
 use service::{
     Backend, EventedFilterServer, FilterClient, HistogramSnapshot, LatencyHistogram, ServerConfig,
 };
@@ -87,10 +87,9 @@ pub fn e19_service() -> bool {
         "E19 — filter service: throughput and latency vs batch size",
         "batching amortises the network round trip that dominates remote filter queries",
     );
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!(
-        "hardware parallelism: {cores} ({THREADS} client threads + one server loop per core \
-         time-share the cores; absolute numbers understate a real deployment)"
+        "{THREADS} client threads + one server loop per core time-share the cores; \
+         absolute numbers understate a real deployment"
     );
     println!("latency columns are power-of-two-bucket upper bounds (service metrics resolution)\n");
 

@@ -1,64 +1,45 @@
 //! E21: SIMD probe engine — dispatch tiers head to head.
 //!
-//! Every probe primitive in `filter_core::simd` ships three
-//! bit-identical implementations: portable SWAR over `u64` lanes,
-//! SSE2, and AVX2 (with BMI2 `PDEP` for in-word select). This
-//! experiment forces each tier in turn ([`filter_core::simd::force_level`])
+//! Every probe primitive in `filter_core::simd` ships bit-identical
+//! implementations per dispatch tier: portable SWAR over `u64` lanes,
+//! NEON, SSE2, AVX2 (with BMI2 `PDEP` for in-word select) and
+//! AVX-512. This experiment forces each tier the host runs
+//! ([`simd::usable_levels`]) in turn ([`filter_core::simd::force_level`])
 //! and measures end-to-end batched lookup throughput for the filters
 //! whose hot path runs through the engine — the 512-bit blocked
 //! Bloom, the 256-bit register-blocked Bloom, and the CQF (whose
 //! lookup leans on rank/select) — plus the raw in-word select
-//! kernel, on a cache-resident and a DRAM-resident table.
+//! kernel, on a cache-resident and a DRAM-resident table. Every cell
+//! is the best of three timed passes after a warm-up.
 //!
-//! Env knobs (for the CI `simd-matrix` / perf-smoke jobs):
-//! - `E21_QUICK=1` shrinks sizes and repetitions to finish in seconds.
-//! - `E21_ASSERT=1` prints a `gate: PASS`/`FAIL` line asserting the
-//!   register-blocked filter at the detected tier is at least 1.0×
-//!   (quick) / 1.3× (full, DRAM-resident) the throughput of the
-//!   512-bit blocked Bloom pinned to SWAR — the paper-facing claim
-//!   that one mask compare per op beats eight dependent probes.
+//! The gate: the register-blocked filter at the top tier is at least
+//! 1.0× (quick) / 1.3× (full) the DRAM-resident throughput of the
+//! 512-bit blocked Bloom pinned to SWAR — the paper-facing claim that
+//! one mask compare per op beats eight dependent probes.
 
-use super::header;
+use crate::harness::{self, header};
 use filter_core::simd::{self, SimdLevel};
-use filter_core::{BatchedFilter, InsertFilter};
-use std::time::Instant;
-use workloads::{disjoint_keys, unique_keys};
-
-fn mops(ops: usize, t: std::time::Duration) -> f64 {
-    ops as f64 / t.as_secs_f64() / 1e6
-}
-
-/// Batched lookup throughput at whatever tier is currently forced.
-fn bench_batch<F: BatchedFilter>(f: &F, probes: &[u64], target_ops: usize) -> f64 {
-    let reps = (target_ops / probes.len()).max(1);
-    let mut out = vec![false; probes.len()];
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        f.contains_many(probes, &mut out);
-    }
-    let r = mops(reps * probes.len(), t0.elapsed());
-    std::hint::black_box(&out);
-    r
-}
+use filter_core::InsertFilter;
+use workloads::unique_keys;
 
 /// Raw in-word select throughput: one select per nonzero word, rank
 /// pinned to the middle set bit so every call does real work.
 fn bench_select(level: SimdLevel, words: &[u64], target_ops: usize) -> f64 {
     let reps = (target_ops / words.len()).max(1);
     let mut acc = 0u32;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        for &w in words {
-            let k = w.count_ones() / 2;
-            acc = acc.wrapping_add(simd::select_word_at(level, w, k).unwrap_or(0));
+    let t = harness::best_of(3, || {
+        for _ in 0..reps {
+            for &w in words {
+                let k = w.count_ones() / 2;
+                acc = acc.wrapping_add(simd::select_word_at(level, w, k).unwrap_or(0));
+            }
         }
-    }
-    let r = mops(reps * words.len(), t0.elapsed());
+    });
     std::hint::black_box(acc);
-    r
+    harness::mops(reps * words.len(), t)
 }
 
-/// E21: scalar/SWAR vs SSE2 vs AVX2 across engine-backed families.
+/// E21: every usable dispatch tier across engine-backed families.
 pub fn e21_simd() -> bool {
     header(
         "E21 — SIMD probe engine (dispatch tiers head to head)",
@@ -67,40 +48,15 @@ pub fn e21_simd() -> bool {
          the 512-bit blocked Bloom once the compare is a single \
          instruction, and all tiers agree bit for bit",
     );
-    let quick = std::env::var_os("E21_QUICK").is_some();
-    let assert_gate = std::env::var_os("E21_ASSERT").is_some();
-    let detected = simd::detected_level();
-    let levels: Vec<SimdLevel> = [SimdLevel::Swar, SimdLevel::Sse2, SimdLevel::Avx2]
-        .into_iter()
-        .filter(|&l| l <= detected)
-        .collect();
-    println!(
-        "detected tier: {} ({} tiers to compare)",
-        detected.name(),
-        levels.len()
-    );
+    let levels = simd::usable_levels();
+    let target_ops = harness::target_ops();
+    let gate_ratio = if harness::quick() { 1.0 } else { 1.3 };
+    let mut dram_ratio = 0.0;
 
-    let sizes: &[(&str, usize)] = if quick {
-        &[("cache", 1 << 15), ("dram", 1 << 19)]
-    } else {
-        &[("cache", 1 << 16), ("dram", 1 << 22)]
-    };
-    let target_ops = if quick { 1 << 19 } else { 1 << 22 };
-    let mut gate_pass = true;
-    let gate_ratio = if quick { 1.0 } else { 1.3 };
-
-    for &(size_label, n) in sizes {
+    for size in harness::size_ladder() {
+        let n = size.keys;
         let keys = unique_keys(2_121, n);
-        let n_probes = (n / 2).clamp(1 << 14, 1 << 18);
-        let misses = disjoint_keys(2_122, n_probes / 2, &keys);
-        let mut probes = Vec::with_capacity(n_probes);
-        for i in 0..n_probes {
-            if i % 2 == 0 {
-                probes.push(keys[(i / 2) % keys.len()]);
-            } else {
-                probes.push(misses[(i / 2) % misses.len()]);
-            }
-        }
+        let probes = harness::half_hit_probes(&keys, size.probes, 2_122);
 
         let mut blocked = bloom::BlockedBloomFilter::new(n, 0.01);
         let mut register = bloom::RegisterBlockedBloomFilter::new(n, 0.01);
@@ -119,14 +75,20 @@ pub fn e21_simd() -> bool {
         ];
         for &level in &levels {
             simd::force_level(Some(level));
-            rows[0].1.push(bench_batch(&blocked, &probes, target_ops));
-            rows[1].1.push(bench_batch(&register, &probes, target_ops));
-            rows[2].1.push(bench_batch(&cqf, &probes, target_ops));
+            let tier = [
+                harness::contains_many_mops(&blocked, &probes, target_ops),
+                harness::contains_many_mops(&register, &probes, target_ops),
+                harness::contains_many_mops(&cqf, &probes, target_ops),
+            ];
+            for (row, m) in rows.iter_mut().zip(tier) {
+                row.1.push(m);
+            }
         }
         simd::force_level(None);
 
         println!(
-            "\n{size_label}-resident, n = {n} keys, {} probes (50% hits), Mops:",
+            "\n{}-resident, n = {n} keys, {} probes (50% hits), Mops:",
+            size.label,
             probes.len()
         );
         print!("{:<16}", "family");
@@ -151,8 +113,8 @@ pub fn e21_simd() -> bool {
             "register-bloom@{} / blocked-bloom@swar: {ratio:.2}x",
             levels.last().unwrap().name()
         );
-        if size_label == "dram" && ratio < gate_ratio {
-            gate_pass = false;
+        if size.label == "dram" {
+            dram_ratio = ratio;
         }
     }
 
@@ -165,17 +127,15 @@ pub fn e21_simd() -> bool {
     println!("\nin-word select (mid-rank, {} words), Mops:", words.len());
     for &level in &levels {
         println!(
-            "  select_word@{:<5} {:>8.1}",
+            "  select_word@{:<6} {:>8.1}",
             level.name(),
             bench_select(level, &words, target_ops)
         );
     }
 
-    if assert_gate {
-        println!(
-            "\ne21 gate (register-bloom@top >= {gate_ratio}x blocked-bloom@swar, dram): {}",
-            if gate_pass { "PASS" } else { "FAIL" }
-        );
-    }
-    true
+    harness::gate(
+        "e21",
+        &format!("register-bloom@top >= {gate_ratio}x blocked-bloom@swar, dram"),
+        dram_ratio >= gate_ratio,
+    )
 }

@@ -1,6 +1,6 @@
 //! E1 (space formulas), E2 (FPR meets ε), E3 (throughput profile).
 
-use super::header;
+use crate::harness::{header, mops};
 use crate::measure_fpr;
 use filter_core::{Filter, InsertFilter};
 use std::time::Instant;
@@ -16,7 +16,6 @@ const N: usize = 996_000;
 fn build_all(keys: &[u64], probes: &[u64], eps: f64) -> Vec<(&'static str, f64, f64, f64, f64)> {
     let n = keys.len();
     let mut rows = Vec::new();
-    let mops = |t: std::time::Duration, ops: usize| ops as f64 / t.as_secs_f64() / 1e6;
 
     // Bloom
     {
@@ -33,8 +32,8 @@ fn build_all(keys: &[u64], probes: &[u64], eps: f64) -> Vec<(&'static str, f64, 
             "bloom",
             f.bits_per_key(),
             fpr,
-            mops(ti, n),
-            mops(tq, probes.len()),
+            mops(n, ti),
+            mops(probes.len(), tq),
         ));
     }
     // Blocked Bloom
@@ -52,8 +51,8 @@ fn build_all(keys: &[u64], probes: &[u64], eps: f64) -> Vec<(&'static str, f64, 
             "blocked-bloom",
             f.bits_per_key(),
             fpr,
-            mops(ti, n),
-            mops(tq, probes.len()),
+            mops(n, ti),
+            mops(probes.len(), tq),
         ));
     }
     // Quotient
@@ -71,8 +70,8 @@ fn build_all(keys: &[u64], probes: &[u64], eps: f64) -> Vec<(&'static str, f64, 
             "quotient",
             f.bits_per_key(),
             fpr,
-            mops(ti, n),
-            mops(tq, probes.len()),
+            mops(n, ti),
+            mops(probes.len(), tq),
         ));
     }
     // Vector quotient (fixed 8-bit remainders; reported at eps 2^-8)
@@ -90,8 +89,8 @@ fn build_all(keys: &[u64], probes: &[u64], eps: f64) -> Vec<(&'static str, f64, 
             "vector-quotient",
             f.bits_per_key(),
             fpr,
-            mops(ti, n),
-            mops(tq, probes.len()),
+            mops(n, ti),
+            mops(probes.len(), tq),
         ));
     }
     // Cuckoo
@@ -110,8 +109,8 @@ fn build_all(keys: &[u64], probes: &[u64], eps: f64) -> Vec<(&'static str, f64, 
             "cuckoo",
             f.bits_per_key(),
             fpr,
-            mops(ti, n),
-            mops(tq, probes.len()),
+            mops(n, ti),
+            mops(probes.len(), tq),
         ));
     }
     // Morton (fixed 8-bit fingerprints; reported at eps 2^-8)
@@ -129,8 +128,8 @@ fn build_all(keys: &[u64], probes: &[u64], eps: f64) -> Vec<(&'static str, f64, 
             "morton",
             f.bits_per_key(),
             fpr,
-            mops(ti, n),
-            mops(tq, probes.len()),
+            mops(n, ti),
+            mops(probes.len(), tq),
         ));
     }
     // Prefix
@@ -149,8 +148,8 @@ fn build_all(keys: &[u64], probes: &[u64], eps: f64) -> Vec<(&'static str, f64, 
             "prefix",
             f.bits_per_key(),
             fpr,
-            mops(ti, n),
-            mops(tq, probes.len()),
+            mops(n, ti),
+            mops(probes.len(), tq),
         ));
     }
     // XOR (static)
@@ -166,8 +165,8 @@ fn build_all(keys: &[u64], probes: &[u64], eps: f64) -> Vec<(&'static str, f64, 
             "xor (static)",
             f.bits_per_key(),
             fpr,
-            mops(ti, n),
-            mops(tq, probes.len()),
+            mops(n, ti),
+            mops(probes.len(), tq),
         ));
     }
     // Ribbon (static)
@@ -183,8 +182,8 @@ fn build_all(keys: &[u64], probes: &[u64], eps: f64) -> Vec<(&'static str, f64, 
             "ribbon (static)",
             f.bits_per_key(),
             fpr,
-            mops(ti, n),
-            mops(tq, probes.len()),
+            mops(n, ti),
+            mops(probes.len(), tq),
         ));
     }
     rows

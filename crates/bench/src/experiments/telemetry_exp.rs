@@ -9,51 +9,26 @@
 //! identical machine code and differ only in whether the atomic
 //! updates execute.
 //!
-//! Methodology: each workload runs `ROUNDS` interleaved
-//! (enabled, disabled) pass pairs, alternating which mode goes first
-//! so within-round drift cancels. Each round yields one paired ratio
-//! `t_on / t_off`; the reported overhead is the *median* ratio, which
-//! shrugs off rounds a shared box perturbed. Throughputs are printed
-//! from the per-mode minimum.
+//! Methodology: each workload runs the paired protocol
+//! ([`harness::Paired`]) over (enabled, disabled) passes. Each round
+//! yields one paired ratio `t_on / t_off`; the reported overhead is
+//! the *median* ratio, which shrugs off rounds a shared box
+//! perturbed. Throughputs are printed from the per-mode minimum. The
+//! gate: overhead under 3% for every workload.
 //!
 //! The instrumented hot paths exercised:
 //! - cuckoo insert (kick-chain-length histogram observe per insert),
 //! - CQF insert (cluster-length histogram observe per shifted run),
 //! - `Sharded` batched probes (per-shard padded op counter per lock).
-//!
-//! Env knobs (for the CI perf-smoke job):
-//! - `E22_QUICK=1` shrinks sizes and rounds to finish in seconds.
-//! - `E22_ASSERT=1` prints an `e22 gate: PASS`/`FAIL` line asserting
-//!   overhead stays under 3% for every workload.
 
-use super::header;
+use crate::harness::{self, header, mops, Paired};
 use filter_core::InsertFilter;
-use std::time::{Duration, Instant};
 use workloads::unique_keys;
 
 /// Max tolerated slowdown from live instrumentation (fraction).
 const MAX_OVERHEAD: f64 = 0.03;
 
-struct CaseResult {
-    name: &'static str,
-    ops: usize,
-    on_min: Duration,
-    off_min: Duration,
-    /// Median over rounds of the paired `t_on / t_off` ratio.
-    median_ratio: f64,
-}
-
-impl CaseResult {
-    fn overhead(&self) -> f64 {
-        self.median_ratio - 1.0
-    }
-    fn mops(&self, t: Duration) -> f64 {
-        self.ops as f64 / t.as_secs_f64() / 1e6
-    }
-}
-
-/// Run `pass` once per mode per round, alternating which mode goes
-/// first, and take the median paired `t_on / t_off` ratio. `pass`
+/// Time `pass` with the switch on (mode 0) and off (mode 1). `pass`
 /// must do the same work every call (fresh state each pass) and
 /// return a value to black-box.
 fn bench_case(
@@ -61,48 +36,13 @@ fn bench_case(
     rounds: usize,
     ops: usize,
     mut pass: impl FnMut() -> u64,
-) -> CaseResult {
-    let mut timed = |on: bool| {
-        telemetry::set_enabled(on);
-        let t0 = Instant::now();
-        std::hint::black_box(pass());
-        t0.elapsed()
-    };
-    // One warmup pass per mode to fault in allocations and caches.
-    timed(true);
-    timed(false);
-
-    let mut on_min = Duration::MAX;
-    let mut off_min = Duration::MAX;
-    let mut ratios = Vec::with_capacity(rounds);
-    for r in 0..rounds {
-        let (t_on, t_off) = if r % 2 == 0 {
-            let a = timed(true);
-            let b = timed(false);
-            (a, b)
-        } else {
-            let b = timed(false);
-            let a = timed(true);
-            (a, b)
-        };
-        on_min = on_min.min(t_on);
-        off_min = off_min.min(t_off);
-        ratios.push(t_on.as_secs_f64() / t_off.as_secs_f64());
-    }
+) -> (&'static str, Paired) {
+    let paired = Paired::measure(rounds, ops, |mode| {
+        telemetry::set_enabled(mode == 0);
+        harness::time(&mut pass)
+    });
     telemetry::set_enabled(true);
-    ratios.sort_by(f64::total_cmp);
-    let median_ratio = if rounds % 2 == 1 {
-        ratios[rounds / 2]
-    } else {
-        (ratios[rounds / 2 - 1] + ratios[rounds / 2]) / 2.0
-    };
-    CaseResult {
-        name,
-        ops,
-        on_min,
-        off_min,
-        median_ratio,
-    }
+    (name, paired)
 }
 
 /// E22: throughput with the telemetry kill switch on vs off.
@@ -113,9 +53,8 @@ pub fn e22_telemetry() -> bool {
          observes, per-shard op counters) costs under 3% throughput, \
          so it can stay enabled in production",
     );
-    let quick = std::env::var_os("E22_QUICK").is_some();
-    let assert_gate = std::env::var_os("E22_ASSERT").is_some();
-    let (n, rounds) = if quick { (1 << 15, 7) } else { (1 << 17, 9) };
+    let quick = harness::quick();
+    let (n, rounds) = if quick { (1 << 15, 25) } else { (1 << 17, 9) };
     // Inner repetitions stretch each timed pass to tens of
     // milliseconds so min-of-rounds converges despite scheduler
     // noise; insert passes rebuild the filter every repetition (the
@@ -183,26 +122,20 @@ pub fn e22_telemetry() -> bool {
         "workload", "on", "off", "overhead"
     );
     let mut all_pass = true;
-    for r in &results {
-        let ov = r.overhead();
+    for (name, r) in &results {
+        let ov = r.median_ratio - 1.0;
         println!(
-            "{:<18} {:>10.2} {:>10.2} {:>9.2}%",
-            r.name,
-            r.mops(r.on_min),
-            r.mops(r.off_min),
+            "{name:<18} {:>10.2} {:>10.2} {:>9.2}%",
+            mops(r.ops, r.min[0]),
+            mops(r.ops, r.min[1]),
             ov * 100.0
         );
-        if ov >= MAX_OVERHEAD {
-            all_pass = false;
-        }
+        all_pass &= ov < MAX_OVERHEAD;
     }
 
-    if assert_gate {
-        println!(
-            "\ne22 gate (overhead < {:.1}% for every workload): {}",
-            MAX_OVERHEAD * 100.0,
-            if all_pass { "PASS" } else { "FAIL" }
-        );
-    }
-    true
+    harness::gate(
+        "e22",
+        &format!("overhead < {:.1}% for every workload", MAX_OVERHEAD * 100.0),
+        all_pass,
+    )
 }

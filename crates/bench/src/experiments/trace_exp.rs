@@ -12,76 +12,46 @@
 //! identical machine code and differ only in the trace calls around
 //! it.
 //!
-//! Methodology (E22's paired protocol): each workload runs `ROUNDS`
-//! interleaved (traced, untraced) pass pairs, alternating which mode
-//! goes first so within-round drift cancels; captured traces are
-//! drained between passes like a polling collector would. The gated
-//! overhead is the smaller of the min-of-passes ratio and the median
-//! paired ratio (see `CaseResult::overhead`); throughputs are
-//! printed from the per-mode minimum.
+//! Methodology (the paired protocol, [`harness::Paired`]): each
+//! workload runs interleaved (traced, untraced) pass pairs,
+//! alternating which mode goes first so within-round drift cancels;
+//! captured traces are drained between passes like a polling
+//! collector would. The gated overhead is the smaller of the
+//! min-of-passes ratio and the median paired ratio (see `overhead`);
+//! throughputs are printed from the per-mode minimum. The gate:
+//! overhead under 3% for every workload.
 //!
 //! Besides the human-readable table, the run writes `BENCH_E27.json`
 //! so CI can archive the numbers.
-//!
-//! Env knobs (for the CI perf-smoke job):
-//! - `E27_QUICK=1` shrinks sizes, rounds and pass lengths to finish in
-//!   seconds.
-//! - `E27_ASSERT=1` prints an `e27 gate: PASS`/`FAIL` line asserting
-//!   overhead stays under 3% for every workload.
 
-use super::header;
+use crate::harness::{self, header, mops, Paired};
 use service::engine::{dispatch, Engine};
 use service::proto::encode_frame;
 use service::{Request, ServerConfig};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use workloads::{disjoint_keys, unique_keys};
 
 /// Max tolerated slowdown from request tracing (fraction).
 const MAX_OVERHEAD: f64 = 0.03;
 
-struct CaseResult {
-    name: &'static str,
-    ops: usize,
-    traced_min: Duration,
-    plain_min: Duration,
-    /// Median over rounds of the paired `t_traced / t_plain` ratio.
-    median_ratio: f64,
+/// Gate statistic: the smaller of the min-of-passes ratio and the
+/// median paired ratio. Interference on a busy machine only ever
+/// slows a pass down, and the two estimators fail under opposite
+/// noise shapes — heavy one-sided spikes drag the median up while
+/// the minima stay clean; a mode that never catches a quiet window
+/// skews the minima while the round-paired median cancels the drift.
+/// The smaller of the two is the better estimate of the intrinsic
+/// cost.
+fn overhead(p: &Paired) -> f64 {
+    p.min_ratio().min(p.median_ratio) - 1.0
 }
 
-impl CaseResult {
-    fn min_ratio(&self) -> f64 {
-        self.traced_min.as_secs_f64() / self.plain_min.as_secs_f64()
-    }
-    /// Gate statistic: the smaller of the min-of-passes ratio and the
-    /// median paired ratio. Interference on a busy machine only ever
-    /// slows a pass down, and the two estimators fail under opposite
-    /// noise shapes — heavy one-sided spikes drag the median up while
-    /// the minima stay clean; a mode that never catches a quiet
-    /// window skews the minima while the round-paired median cancels
-    /// the drift. The smaller of the two is the better estimate of
-    /// the intrinsic cost.
-    fn overhead(&self) -> f64 {
-        self.min_ratio().min(self.median_ratio) - 1.0
-    }
-    fn mops(&self, t: Duration) -> f64 {
-        self.ops as f64 / t.as_secs_f64() / 1e6
-    }
-}
-
-/// Run `pass` once per mode per round, alternating which mode goes
-/// first, and take the median paired `t_traced / t_plain` ratio.
+/// Time `pass(traced)` traced (mode 0) and untraced (mode 1).
 /// `pass(traced)` must do the same dispatch work either way, adding
 /// only the per-request trace guard when `traced` is true.
-fn bench_case(
-    name: &'static str,
-    rounds: usize,
-    ops: usize,
-    mut pass: impl FnMut(bool) -> u64,
-) -> CaseResult {
-    let mut timed = |traced: bool| {
-        let t0 = Instant::now();
-        std::hint::black_box(pass(traced));
-        let dt = t0.elapsed();
+fn bench_case(rounds: usize, ops: usize, mut pass: impl FnMut(bool) -> u64) -> Paired {
+    Paired::measure(rounds, ops, |mode| {
+        let dt = harness::time(|| pass(mode == 0));
         // Drain captured traces between passes, like the OP_TRACES
         // collector a deployment polls: without this the bounded
         // store saturates and every in-pass promote pays an eviction
@@ -89,41 +59,7 @@ fn bench_case(
         // request path).
         telemetry::trace::store().take(0);
         dt
-    };
-    // One warmup pass per mode to fault in allocations and caches.
-    timed(true);
-    timed(false);
-
-    let mut traced_min = Duration::MAX;
-    let mut plain_min = Duration::MAX;
-    let mut ratios = Vec::with_capacity(rounds);
-    for r in 0..rounds {
-        let (t_on, t_off) = if r % 2 == 0 {
-            let a = timed(true);
-            let b = timed(false);
-            (a, b)
-        } else {
-            let b = timed(false);
-            let a = timed(true);
-            (a, b)
-        };
-        traced_min = traced_min.min(t_on);
-        plain_min = plain_min.min(t_off);
-        ratios.push(t_on.as_secs_f64() / t_off.as_secs_f64());
-    }
-    ratios.sort_by(f64::total_cmp);
-    let median_ratio = if rounds % 2 == 1 {
-        ratios[rounds / 2]
-    } else {
-        (ratios[rounds / 2 - 1] + ratios[rounds / 2]) / 2.0
-    };
-    CaseResult {
-        name,
-        ops,
-        traced_min,
-        plain_min,
-        median_ratio,
-    }
+    })
 }
 
 /// E27: request throughput with per-request tracing vs without.
@@ -134,8 +70,7 @@ pub fn e27_trace() -> bool {
          1-in-256 head sampling costs under 3% throughput, so \
          distributed tracing can stay enabled in production",
     );
-    let quick = std::env::var_os("E27_QUICK").is_some();
-    let assert_gate = std::env::var_os("E27_ASSERT").is_some();
+    let quick = harness::quick();
     let (n, rounds) = if quick { (1 << 14, 25) } else { (1 << 16, 31) };
     // Per-case request counts sized so every timed pass runs for
     // milliseconds regardless of batch width — sub-millisecond passes
@@ -232,21 +167,17 @@ pub fn e27_trace() -> bool {
         // slows passes down, so a workload that misses the gate is
         // re-measured (up to three times) and the best measurement
         // kept — a genuine regression fails all four.
-        let mut best = bench_case(name, rounds, ops, |traced| {
-            run_pass(&engine, &payloads, traced)
-        });
+        let mut best = bench_case(rounds, ops, |traced| run_pass(&engine, &payloads, traced));
         for _ in 0..3 {
-            if best.overhead() < MAX_OVERHEAD {
+            if overhead(&best) < MAX_OVERHEAD {
                 break;
             }
-            let retry = bench_case(name, rounds, ops, |traced| {
-                run_pass(&engine, &payloads, traced)
-            });
-            if retry.overhead() < best.overhead() {
+            let retry = bench_case(rounds, ops, |traced| run_pass(&engine, &payloads, traced));
+            if overhead(&retry) < overhead(&best) {
                 best = retry;
             }
         }
-        results.push(best);
+        results.push((name, best));
         // Drain whatever head sampling promoted so the store never
         // carries state across cases.
         telemetry::trace::store().take(0);
@@ -262,53 +193,43 @@ pub fn e27_trace() -> bool {
         "workload", "traced", "plain", "overhead", "median"
     );
     let mut all_pass = true;
-    let mut json_cases = String::new();
-    for r in &results {
-        let ov = r.overhead();
+    let mut json_cases = Vec::new();
+    for (name, r) in &results {
+        let ov = overhead(r);
         println!(
-            "{:<22} {:>10.3} {:>10.3} {:>9.2}% {:>9.2}%",
-            r.name,
-            r.mops(r.traced_min),
-            r.mops(r.plain_min),
+            "{name:<22} {:>10.3} {:>10.3} {:>9.2}% {:>9.2}%",
+            mops(r.ops, r.min[0]),
+            mops(r.ops, r.min[1]),
             ov * 100.0,
             (r.median_ratio - 1.0) * 100.0
         );
-        if ov >= MAX_OVERHEAD {
-            all_pass = false;
-        }
-        if !json_cases.is_empty() {
-            json_cases.push(',');
-        }
-        json_cases.push_str(&format!(
-            "{{\"name\":\"{}\",\"requests\":{},\"traced_mreq\":{:.4},\
+        all_pass &= ov < MAX_OVERHEAD;
+        json_cases.push(format!(
+            "{{\"name\":\"{name}\",\"requests\":{},\"traced_mreq\":{:.4},\
              \"plain_mreq\":{:.4},\"min_ratio\":{:.5},\"median_ratio\":{:.5}}}",
-            r.name,
             r.ops,
-            r.mops(r.traced_min),
-            r.mops(r.plain_min),
-            r.traced_min.as_secs_f64() / r.plain_min.as_secs_f64(),
+            mops(r.ops, r.min[0]),
+            mops(r.ops, r.min[1]),
+            r.min_ratio(),
             r.median_ratio
         ));
     }
 
-    let json = format!(
-        "{{\"experiment\":\"e27\",\"quick\":{quick},\"head_sample\":{},\
-         \"max_overhead\":{MAX_OVERHEAD},\"cases\":[{json_cases}],\
-         \"gate_pass\":{all_pass}}}\n",
-        telemetry::trace::HEAD_SAMPLE
+    harness::write_json(
+        "e27",
+        &format!(
+            "\"head_sample\":{},\"max_overhead\":{MAX_OVERHEAD},\"cases\":[{}]",
+            telemetry::trace::HEAD_SAMPLE,
+            json_cases.join(",")
+        ),
+        all_pass,
     );
-    match std::fs::write("BENCH_E27.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_E27.json"),
-        Err(e) => println!("\ncould not write BENCH_E27.json: {e}"),
-    }
-
-    if assert_gate {
-        println!(
-            "\ne27 gate (overhead < {:.1}% for every workload at 1/256 \
-             head sampling): {}",
-            MAX_OVERHEAD * 100.0,
-            if all_pass { "PASS" } else { "FAIL" }
-        );
-    }
-    true
+    harness::gate(
+        "e27",
+        &format!(
+            "overhead < {:.1}% for every workload at 1/256 head sampling",
+            MAX_OVERHEAD * 100.0
+        ),
+        all_pass,
+    )
 }

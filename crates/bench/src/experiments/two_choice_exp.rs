@@ -14,49 +14,16 @@
 //! of the register-Bloom E21 baseline (rerun in-process so both
 //! numbers come from the same machine state).
 //!
-//! Env knobs (for the CI perf-smoke job):
-//! - `E25_QUICK=1` shrinks sizes and repetitions to finish in seconds.
-//! - `E25_ASSERT=1` prints a `e25 gate: PASS`/`FAIL` line.
-//!
 //! Besides the human-readable table, the run writes `BENCH_E25.json`
 //! (see EXPERIMENTS.md for the schema): per size × family × tier
 //! throughput plus FPR and bits/key, machine-readable for trend
 //! tracking.
 
-use super::header;
+use crate::harness::{self, header};
+use crate::measure_fpr;
 use filter_core::simd;
-use filter_core::{BatchedFilter, Filter, InsertFilter};
-use std::time::Instant;
+use filter_core::{Filter, InsertFilter};
 use workloads::{disjoint_keys, unique_keys};
-
-fn mops(ops: usize, t: std::time::Duration) -> f64 {
-    ops as f64 / t.as_secs_f64() / 1e6
-}
-
-/// Best of three timed runs (after one warm-up pass): the gate
-/// compares two numbers within a few percent of each other, so
-/// single-run scheduler/thermal noise would flap it.
-fn bench_batch<F: BatchedFilter>(f: &F, probes: &[u64], target_ops: usize) -> f64 {
-    let reps = (target_ops / probes.len()).max(1);
-    let mut out = vec![false; probes.len()];
-    f.contains_many(probes, &mut out);
-    let mut best = 0.0f64;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            f.contains_many(probes, &mut out);
-        }
-        best = best.max(mops(reps * probes.len(), t0.elapsed()));
-    }
-    std::hint::black_box(&out);
-    best
-}
-
-/// Measured FPR over never-inserted probes (tier-independent: every
-/// tier is bit-identical, so one measurement covers them all).
-fn measured_fpr<F: Filter>(f: &F, misses: &[u64]) -> f64 {
-    misses.iter().filter(|&&k| f.contains(k)).count() as f64 / misses.len() as f64
-}
 
 /// One family's results at one size.
 struct FamilyRow {
@@ -75,40 +42,18 @@ pub fn e25_two_choice() -> bool {
          layout's FPR loss for ~2 extra bits/key, and the second \
          prefetched probe costs <5% of batched lookup throughput",
     );
-    let quick = std::env::var_os("E25_QUICK").is_some();
-    let assert_gate = std::env::var_os("E25_ASSERT").is_some();
     let levels = simd::usable_levels();
-    let detected = simd::detected_level();
-    println!(
-        "detected tier: {} ({} tiers to compare)",
-        detected.name(),
-        levels.len()
-    );
-
-    let sizes: &[(&str, usize)] = if quick {
-        &[("cache", 1 << 15), ("dram", 1 << 19)]
-    } else {
-        &[("cache", 1 << 16), ("dram", 1 << 22)]
-    };
-    let target_ops = if quick { 1 << 19 } else { 1 << 22 };
-    let n_fpr_probes = if quick { 1 << 17 } else { 1 << 20 };
+    let target_ops = harness::target_ops();
+    let n_fpr_probes = if harness::quick() { 1 << 17 } else { 1 << 20 };
     let eps = 0.01;
 
     let mut gate_pass = true;
-    let mut json_sizes = String::new();
+    let mut json_sizes = Vec::new();
 
-    for &(size_label, n) in sizes {
+    for size in harness::size_ladder() {
+        let n = size.keys;
         let keys = unique_keys(2_521, n);
-        let n_probes = (n / 2).clamp(1 << 14, 1 << 18);
-        let misses = disjoint_keys(2_522, n_probes / 2, &keys);
-        let mut probes = Vec::with_capacity(n_probes);
-        for i in 0..n_probes {
-            if i % 2 == 0 {
-                probes.push(keys[(i / 2) % keys.len()]);
-            } else {
-                probes.push(misses[(i / 2) % misses.len()]);
-            }
-        }
+        let probes = harness::half_hit_probes(&keys, size.probes, 2_522);
         let fpr_probes = disjoint_keys(2_523, n_fpr_probes, &keys);
 
         let mut register = bloom::RegisterBlockedBloomFilter::new(n, eps);
@@ -118,33 +63,37 @@ pub fn e25_two_choice() -> bool {
             two_choice.insert(k).unwrap();
         }
 
+        // Every tier answers bit-identically, so one FPR measurement
+        // covers them all.
         let mut rows = [
             FamilyRow {
                 family: "register-bloom",
                 bits_per_key: register.size_in_bytes() as f64 * 8.0 / n as f64,
-                fpr: measured_fpr(&register, &fpr_probes),
+                fpr: measure_fpr(&fpr_probes, |k| register.contains(k)),
                 tiers: Vec::new(),
             },
             FamilyRow {
                 family: "two-choice-bloom",
                 bits_per_key: two_choice.size_in_bytes() as f64 * 8.0 / n as f64,
-                fpr: measured_fpr(&two_choice, &fpr_probes),
+                fpr: measure_fpr(&fpr_probes, |k| two_choice.contains(k)),
                 tiers: Vec::new(),
             },
         ];
         for &level in &levels {
             simd::force_level(Some(level));
-            rows[0]
-                .tiers
-                .push((level.name(), bench_batch(&register, &probes, target_ops)));
-            rows[1]
-                .tiers
-                .push((level.name(), bench_batch(&two_choice, &probes, target_ops)));
+            let tier = [
+                harness::contains_many_mops(&register, &probes, target_ops),
+                harness::contains_many_mops(&two_choice, &probes, target_ops),
+            ];
+            for (row, m) in rows.iter_mut().zip(tier) {
+                row.tiers.push((level.name(), m));
+            }
         }
         simd::force_level(None);
 
         println!(
-            "\n{size_label}-resident, n = {n} keys, {} probes (50% hits), Mops:",
+            "\n{}-resident, n = {n} keys, {} probes (50% hits), Mops:",
+            size.label,
             probes.len()
         );
         print!("{:<18} {:>9} {:>9}", "family", "bits/key", "fpr");
@@ -182,16 +131,14 @@ pub fn e25_two_choice() -> bool {
             println!("  !! two-choice FPR above one-choice FPR");
             gate_pass = false;
         }
-        if size_label == "dram" && ratio < 0.95 {
+        if size.label == "dram" && ratio < 0.95 {
             println!("  !! two-choice throughput below 0.95x register baseline");
             gate_pass = false;
         }
 
-        if !json_sizes.is_empty() {
-            json_sizes.push(',');
-        }
-        json_sizes.push_str(&format!(
-            "{{\"label\":\"{size_label}\",\"n_keys\":{n},\"families\":[{}]}}",
+        json_sizes.push(format!(
+            "{{\"label\":\"{}\",\"n_keys\":{n},\"families\":[{}]}}",
+            size.label,
             rows.iter()
                 .map(|r| {
                     let tiers = r
@@ -213,22 +160,15 @@ pub fn e25_two_choice() -> bool {
         ));
     }
 
-    let json = format!(
-        "{{\"experiment\":\"e25\",\"eps\":{eps},\"detected_level\":\"{}\",\
-         \"quick\":{quick},\"sizes\":[{json_sizes}],\"gate_pass\":{gate_pass}}}\n",
-        detected.name()
+    harness::write_json(
+        "e25",
+        &format!("\"eps\":{eps},\"sizes\":[{}]", json_sizes.join(",")),
+        gate_pass,
     );
-    match std::fs::write("BENCH_E25.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_E25.json"),
-        Err(e) => println!("\ncould not write BENCH_E25.json: {e}"),
-    }
-
-    if assert_gate {
-        println!(
-            "\ne25 gate (fpr(two-choice) <= fpr(register) at every size, \
-             and two-choice@top >= 0.95x register@top, dram): {}",
-            if gate_pass { "PASS" } else { "FAIL" }
-        );
-    }
-    true
+    harness::gate(
+        "e25",
+        "fpr(two-choice) <= fpr(register) at every size, \
+         and two-choice@top >= 0.95x register@top, dram",
+        gate_pass,
+    )
 }

@@ -6,6 +6,7 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod harness;
 
 pub use experiments::*;
 

@@ -289,27 +289,8 @@ pub struct ReqInfo {
     batch: u32,
 }
 
-impl ReqInfo {
-    /// Pack into one `u64` for a slow-log entry:
-    /// `op << 56 | (backend_tag + 1) << 48 | batch` (backend 0 means
-    /// "none").
-    fn packed(self) -> u64 {
-        let be = self.backend.map_or(0, |b| b.to_u32() as u64 + 1);
-        (self.op as u64) << 56 | be << 48 | self.batch as u64
-    }
-
-    /// Inverse of [`ReqInfo::packed`], for rendering the slow log.
-    fn unpack(b: u64) -> (u8, &'static str, u32) {
-        let op = (b >> 56) as u8;
-        let backend = match ((b >> 48) & 0xff) as u32 {
-            0 => "-",
-            tag => Backend::from_u32(tag - 1).map_or("-", |b| b.name()),
-        };
-        (op, backend, b as u32)
-    }
-}
-
 /// One entry of the slow-request log.
+#[derive(Clone)]
 pub(crate) struct SlowEntry {
     /// Monotone sequence number (total slow requests ever logged).
     pub seq: u64,
@@ -317,8 +298,8 @@ pub(crate) struct SlowEntry {
     pub t_us: u64,
     /// Service time in nanoseconds.
     pub latency_ns: u64,
-    /// Packed opcode/backend/batch context ([`ReqInfo::packed`]).
-    pub packed: u64,
+    /// Opcode, backend and batch size of the request.
+    pub info: ReqInfo,
     /// The requesting peer, when the transport knows it.
     pub peer: Option<SocketAddr>,
     /// Trace the request belonged to (0 when untraced).
@@ -343,7 +324,7 @@ impl SlowLog {
         }
     }
 
-    fn emit(&self, latency_ns: u64, packed: u64, peer: Option<SocketAddr>, trace_id: u64) {
+    fn emit(&self, latency_ns: u64, info: ReqInfo, peer: Option<SocketAddr>, trace_id: u64) {
         let seq = self.emitted.fetch_add(1, Ordering::Relaxed);
         let t_us = SystemTime::now()
             .duration_since(SystemTime::UNIX_EPOCH)
@@ -357,7 +338,7 @@ impl SlowLog {
             seq,
             t_us,
             latency_ns,
-            packed,
+            info,
             peer,
             trace_id,
         });
@@ -366,16 +347,7 @@ impl SlowLog {
     /// Oldest-to-newest copy of the retained entries.
     pub(crate) fn snapshot(&self) -> Vec<SlowEntry> {
         let g = self.entries.lock().unwrap_or_else(|p| p.into_inner());
-        g.iter()
-            .map(|e| SlowEntry {
-                seq: e.seq,
-                t_us: e.t_us,
-                latency_ns: e.latency_ns,
-                packed: e.packed,
-                peer: e.peer,
-                trace_id: e.trace_id,
-            })
-            .collect()
+        g.iter().cloned().collect()
     }
 
     /// Entries ever logged.
@@ -497,8 +469,8 @@ pub struct Engine {
     pub(crate) filters: RwLock<BloofiIndex<Arc<ServedFilter>>>,
     pub(crate) metrics: ServerMetrics,
     /// Slow-request log: newest 256 requests over the threshold, with
-    /// packed opcode/backend/batch context (see [`ReqInfo::packed`]),
-    /// the peer address, and the trace id when the request was traced.
+    /// their opcode/backend/batch context ([`ReqInfo`]), the peer
+    /// address, and the trace id when the request was traced.
     pub(crate) slowlog: SlowLog,
     pub(crate) stop: AtomicBool,
     pub(crate) config: ServerConfig,
@@ -624,7 +596,7 @@ impl Engine {
         if dt >= self.config.slow_request_threshold {
             self.slowlog.emit(
                 dt.as_nanos().min(u64::MAX as u128) as u64,
-                info.packed(),
+                info,
                 peer,
                 trace_id,
             );
@@ -1164,14 +1136,14 @@ pub(crate) fn render_metrics(engine: &Engine) -> String {
     // Slow-request log, newest last. Comment lines parse as legal
     // exposition text; scrapers that only want families skip them.
     for ev in engine.slowlog.snapshot() {
-        let (op, backend, batch) = ReqInfo::unpack(ev.packed);
+        let ReqInfo { op, backend, batch } = ev.info;
         let peer = ev.peer.map_or_else(|| "-".to_string(), |p| p.to_string());
         let mut line = format!(
             "slow seq={} t_us={} op={} backend={} batch={} latency_ns={} peer={}",
             ev.seq,
             ev.t_us,
             crate::proto::op_name(u32::from(op)),
-            backend,
+            backend.map_or("-", |b| b.name()),
             batch,
             ev.latency_ns,
             peer,

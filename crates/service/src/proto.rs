@@ -17,7 +17,7 @@
 //! `filter_core::serial`'s little-endian codec:
 //!
 //! ```text
-//! u32 magic (0xBBF117AA) | u32 version (2) | u32 opcode | body...
+//! u32 magic (0xBBF117AA) | u32 version (3) | u32 opcode | body...
 //! ```
 //!
 //! Requests carry a filter name (length-prefixed UTF-8, ≤ 255 bytes)
@@ -299,9 +299,10 @@ pub enum Request {
         name: String,
     },
     /// "Which filters contain each of these keys?" — the multi-tenant
-    /// query, answered across the whole registry through the Bloofi
-    /// index in O(d·log N) summary probes per key instead of a flat
-    /// scan; answered by [`Response::NameLists`].
+    /// query, answered across the whole registry through the
+    /// Flat-Bloofi index, which scans 8 rows of ⌈N/64⌉ words per key
+    /// (64 tenants per word) instead of probing all N filters;
+    /// answered by [`Response::NameLists`].
     MultiContains {
         /// Keys to look up across every registered filter.
         keys: Vec<u64>,

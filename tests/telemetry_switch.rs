@@ -213,7 +213,8 @@ fn switched_off_server_answers_forced_traces_but_keeps_none() {
 /// A `# slow` line names a trace only when TRACES can return it. At
 /// threshold zero every request is slow; the switched-off CONTAINS
 /// store no trace, so their lines carry no `trace_id=`, while the
-/// switched-on CONTAINS names the trace TRACES returns.
+/// switched-on CONTAINS names the trace TRACES returns. Every line
+/// names the request's backend and batch size.
 #[test]
 fn slow_log_names_only_traces_that_traces_returns() {
     let switch = Switch::lock();
@@ -245,6 +246,12 @@ fn slow_log_names_only_traces_that_traces_returns() {
         .filter(|l| l.starts_with("# slow ") && l.contains(" op=CONTAINS "))
         .collect();
     assert_eq!(contains.len(), 6, "one slow line per CONTAINS:\n{text}");
+    for line in &contains {
+        assert!(
+            line.contains(" backend=atomic-bloom batch=3 "),
+            "a slow line lost its request's backend or batch: {line}"
+        );
+    }
     for line in &contains[..5] {
         assert!(
             !line.contains("trace_id="),
