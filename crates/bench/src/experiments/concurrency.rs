@@ -4,10 +4,11 @@
 //! filter must provide (§1, feature 6) and sketches the two standard
 //! mechanisms: partition the structure behind fine-grained locks, or
 //! make the mutation itself atomic. This experiment measures both —
-//! the generic `Sharded<CountingQuotientFilter>` (per-shard mutexes)
-//! and the wait-free `AtomicBlockedBloomFilter` (`fetch_or` inserts)
-//! — against a global-lock CQF baseline (a `Sharded` with one shard),
-//! reporting aggregate insert and query throughput per thread count.
+//! the sharded CQF the server serves (`service::build_sharded_cqf`,
+//! per-shard mutexes) and the wait-free `AtomicBlockedBloomFilter`
+//! (`fetch_or` inserts) — against a global-lock CQF baseline (the
+//! same builder with one shard), reporting aggregate insert and query
+//! throughput per thread count.
 //!
 //! Caveat printed with the results: speedup over the 1-thread row
 //! requires hardware parallelism. On a single-core host the expected
@@ -16,13 +17,14 @@
 
 use crate::harness::{header, mops};
 use bloom::AtomicBlockedBloomFilter;
-use quotient::ConcurrentQuotientFilter;
+use service::build_sharded_cqf;
 use std::time::Instant;
 use workloads::{disjoint_keys, unique_keys};
 
 const N: usize = 400_000;
 const THREADS: [usize; 3] = [1, 2, 4];
 const EPS: f64 = 1.0 / 256.0;
+const SEED: u64 = 1800;
 
 /// Run `insert` then `query` split over `threads` scoped threads;
 /// return (insert Mops, query Mops).
@@ -92,7 +94,7 @@ pub fn e18_threads() -> bool {
         "global-lock CQF (Sharded, 1 shard) — contention baseline",
         &keys,
         &probes,
-        || ConcurrentQuotientFilter::new(N, EPS, 0),
+        || build_sharded_cqf(N as u64, EPS, 0, SEED),
         |f, chunk| {
             for &k in chunk {
                 f.insert(k).unwrap();
@@ -105,7 +107,7 @@ pub fn e18_threads() -> bool {
         "sharded CQF (Sharded, 64 shards, per-shard mutex)",
         &keys,
         &probes,
-        || ConcurrentQuotientFilter::new(N, EPS, 6),
+        || build_sharded_cqf(N as u64, EPS, 6, SEED),
         |f, chunk| {
             for &k in chunk {
                 f.insert(k).unwrap();
@@ -118,7 +120,7 @@ pub fn e18_threads() -> bool {
         "sharded CQF, batch API (one lock per shard per batch)",
         &keys,
         &probes,
-        || ConcurrentQuotientFilter::new(N, EPS, 6),
+        || build_sharded_cqf(N as u64, EPS, 6, SEED),
         |f, chunk| f.insert_batch(chunk).unwrap(),
         |f, chunk| f.contains_batch(chunk).iter().filter(|&&b| b).count(),
     );

@@ -11,6 +11,7 @@
 //! binary's exit status) reports a failed gate.
 
 use crate::experiments::*;
+use filter_core::simd::{force_level, SimdLevel};
 use filter_core::BatchedFilter;
 use std::time::{Duration, Instant};
 use workloads::disjoint_keys;
@@ -302,6 +303,37 @@ pub fn contains_many_mops<F: BatchedFilter>(f: &F, probes: &[u64], target_ops: u
     });
     std::hint::black_box(&out);
     mops(reps * probes.len(), t)
+}
+
+/// Batched lookup throughput of cell `b` over cell `a`, each cell a
+/// filter probed at a forced SIMD tier, from one [`Paired`]
+/// measurement: every pass forces its cell's tier, rounds alternate
+/// which cell runs first, and each cell keeps its fastest of three
+/// passes (as [`contains_many_mops`] does), so a slow spell of the
+/// host lands on both cells rather than on whichever ran later.
+pub fn paired_contains_ratio<A: BatchedFilter, B: BatchedFilter>(
+    a: (&A, SimdLevel),
+    b: (&B, SimdLevel),
+    probes: &[u64],
+    target_ops: usize,
+) -> f64 {
+    let reps = (target_ops / probes.len()).max(1);
+    let mut out = vec![false; probes.len()];
+    let paired = Paired::measure(3, reps * probes.len(), |cell| {
+        force_level(Some(if cell == 0 { a.1 } else { b.1 }));
+        time(|| {
+            for _ in 0..reps {
+                if cell == 0 {
+                    a.0.contains_many(probes, &mut out);
+                } else {
+                    b.0.contains_many(probes, &mut out);
+                }
+            }
+        })
+    });
+    force_level(None);
+    std::hint::black_box(&out);
+    paired.min_ratio()
 }
 
 #[cfg(test)]

@@ -75,20 +75,6 @@ impl RegisterBlockedBloomFilter {
         self.hasher.seed()
     }
 
-    /// A thread-safe register-blocked filter: `2^shard_bits`
-    /// independent shards behind per-shard locks, jointly sized for
-    /// `capacity` keys. Batch ops hit the SIMD kernel per shard.
-    pub fn sharded(
-        capacity: usize,
-        eps: f64,
-        shard_bits: u32,
-    ) -> concurrent::Sharded<RegisterBlockedBloomFilter> {
-        let per_shard = (capacity >> shard_bits).max(64);
-        concurrent::Sharded::new(shard_bits, |i| {
-            RegisterBlockedBloomFilter::with_seed(per_shard, eps, 0x4b10 ^ i as u64)
-        })
-    }
-
     /// Serialize for persistence or for shipping a pre-built filter
     /// over the service's CREATE frame.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -298,7 +284,9 @@ mod tests {
 
     #[test]
     fn sharded_agrees_with_batch() {
-        let f = RegisterBlockedBloomFilter::sharded(10_000, 0.01, 2);
+        let f = concurrent::Sharded::new(2, |i| {
+            RegisterBlockedBloomFilter::with_seed(2_500, 0.01, 0x4b10 ^ i as u64)
+        });
         let keys = unique_keys(38, 5_000);
         f.insert_batch(&keys).unwrap();
         assert!(f.contains_batch(&keys).iter().all(|&b| b));

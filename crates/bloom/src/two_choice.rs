@@ -125,20 +125,6 @@ impl TwoChoiceRegisterBloomFilter {
         self.hasher.seed()
     }
 
-    /// A thread-safe two-choice filter: `2^shard_bits` independent
-    /// shards behind per-shard locks, jointly sized for `capacity`
-    /// keys. Batch ops hit the SIMD kernel per shard.
-    pub fn sharded(
-        capacity: usize,
-        eps: f64,
-        shard_bits: u32,
-    ) -> concurrent::Sharded<TwoChoiceRegisterBloomFilter> {
-        let per_shard = (capacity >> shard_bits).max(64);
-        concurrent::Sharded::new(shard_bits, |i| {
-            TwoChoiceRegisterBloomFilter::with_seed(per_shard, eps, 0x2c10 ^ i as u64)
-        })
-    }
-
     /// Serialize for persistence or for shipping a pre-built filter
     /// over the service's CREATE frame.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -438,7 +424,9 @@ mod tests {
 
     #[test]
     fn sharded_agrees_with_batch() {
-        let f = TwoChoiceRegisterBloomFilter::sharded(10_000, 0.01, 2);
+        let f = concurrent::Sharded::new(2, |i| {
+            TwoChoiceRegisterBloomFilter::with_seed(2_500, 0.01, 0x2c10 ^ i as u64)
+        });
         let keys = unique_keys(59, 5_000);
         f.insert_batch(&keys).unwrap();
         assert!(f.contains_batch(&keys).iter().all(|&b| b));

@@ -45,12 +45,23 @@ use std::thread::JoinHandle;
 
 use bloom::AtomicBlockedBloomFilter;
 use filter_core::hash::mix64;
-use filter_core::{BatchedFilter, ByteReader, ByteWriter, Filter, SerialError, PROBE_CHUNK};
-use lsm::{fp_bits_for, CompactionPolicy, FprAllocation};
+use filter_core::{
+    fp_bits_for, BatchedFilter, ByteReader, ByteWriter, Filter, SerialError, PROBE_CHUNK,
+};
 use xorf::{BinaryFuseFilter, FuseArity};
 
-/// Snapshot-serialization magic.
-const MAGIC: u32 = 0xc0ab_ac71;
+/// Snapshot-serialization magic. Bumped from `0xc0ab_ac71` when the
+/// snapshot stopped storing arity, merge policy, tier cap and FPR
+/// allocation, so a blob in that layout is refused, not misread.
+const MAGIC: u32 = 0xc0ab_ac72;
+
+/// Static tiers are 4-wise binary fuse filters: ~5% smaller than
+/// 3-wise at the same FPR.
+const TIER_ARITY: FuseArity = FuseArity::Four;
+
+/// Lazy leveling's tier cap: a compaction that would leave more tiers
+/// than this collapses them all into one.
+const MAX_TIERS: usize = 8;
 
 /// Largest `front_capacity` a snapshot may carry: the front a
 /// service CREATE builds at its default `max_capacity` (2²⁸ / 16).
@@ -68,50 +79,32 @@ fn eps_in_range(eps: f64) -> bool {
     (MIN_EPS..=0.5).contains(&eps)
 }
 
-/// Configuration for a [`CompactingFilter`].
+/// Configuration for a [`CompactingFilter`]. Every static tier is a
+/// 4-wise binary fuse filter at `eps`, and tiers merge by lazy
+/// leveling capped at 8 tiers.
 #[derive(Debug, Clone, Copy)]
 pub struct CompactingConfig {
     /// Keys the mutable front absorbs before it is sealed and handed
     /// to the background compactor.
     pub front_capacity: usize,
-    /// Target FPR of the mutable front (and the default tier budget).
+    /// Target FPR of the mutable front and of each static tier.
     pub eps: f64,
-    /// Arity of the static fuse tiers (4-wise is ~5% smaller).
-    pub arity: FuseArity,
-    /// Per-tier FPR budget; [`FprAllocation::Monkey`] tightens small
-    /// tiers so the fan-out FPR sum converges.
-    pub allocation: FprAllocation,
-    /// Merge shape: [`CompactionPolicy::Leveled`] rebuilds one big
-    /// tier every compaction, [`CompactionPolicy::Tiered`] only folds
-    /// in tiers no larger than the accumulated batch, and
-    /// [`CompactionPolicy::LazyLeveled`] runs tiered until
-    /// [`max_tiers`](CompactingConfig::max_tiers) is exceeded, then
-    /// collapses to one.
-    pub policy: CompactionPolicy,
-    /// Tier-count bound for [`CompactionPolicy::LazyLeveled`].
-    pub max_tiers: usize,
     /// Base hash seed (rotated per epoch for fronts and tiers).
     pub seed: u64,
 }
 
 impl CompactingConfig {
-    /// A sensible default shape: `front_capacity` keys per memtable at
-    /// `eps`, 4-wise fuse tiers with a uniform `eps` budget, lazy
-    /// leveling capped at 8 tiers.
+    /// `front_capacity` keys per memtable, every layer at `eps`.
     pub fn new(front_capacity: usize, eps: f64, seed: u64) -> Self {
         CompactingConfig {
             front_capacity,
             eps,
-            arity: FuseArity::Four,
-            allocation: FprAllocation::Uniform(eps),
-            policy: CompactionPolicy::LazyLeveled,
-            max_tiers: 8,
             seed,
         }
     }
 
     fn validate(&self) -> Result<(), SerialError> {
-        if self.front_capacity == 0 || self.max_tiers == 0 {
+        if self.front_capacity == 0 {
             return Err(SerialError::Corrupt("compacting config zero"));
         }
         if self.front_capacity > MAX_FRONT_CAPACITY {
@@ -119,15 +112,6 @@ impl CompactingConfig {
         }
         if !eps_in_range(self.eps) {
             return Err(SerialError::Corrupt("compacting eps"));
-        }
-        // `eps_for_run` clamps with these; a bad pair would panic the
-        // compaction thread.
-        let allocation_ok = match self.allocation {
-            FprAllocation::Uniform(e) => eps_in_range(e),
-            FprAllocation::Monkey { base_eps, ratio } => eps_in_range(base_eps) && ratio >= 1.0,
-        };
-        if !allocation_ok {
-            return Err(SerialError::Corrupt("compacting allocation"));
         }
         Ok(())
     }
@@ -262,7 +246,6 @@ impl CompactingFilter {
     pub fn new(cfg: CompactingConfig) -> Self {
         assert!(cfg.front_capacity > 0, "front_capacity must be positive");
         assert!(cfg.eps > 0.0 && cfg.eps <= 0.5, "eps must be in (0, 0.5]");
-        assert!(cfg.max_tiers > 0, "max_tiers must be positive");
         let inner = Arc::new(Inner {
             state: RwLock::new(Arc::new(State {
                 front: Arc::new(Front::new(&cfg, 0)),
@@ -405,31 +388,9 @@ impl CompactingFilter {
         let cfg = &self.inner.cfg;
         let mut w = ByteWriter::new();
         w.put_u32(MAGIC);
-        w.put_u32(match cfg.arity {
-            FuseArity::Three => 3,
-            FuseArity::Four => 4,
-        });
         w.put_u64(cfg.front_capacity as u64);
         w.put_f64(cfg.eps);
         w.put_u64(cfg.seed);
-        w.put_u32(match cfg.policy {
-            CompactionPolicy::Tiered => 0,
-            CompactionPolicy::Leveled => 1,
-            CompactionPolicy::LazyLeveled => 2,
-        });
-        w.put_u64(cfg.max_tiers as u64);
-        match cfg.allocation {
-            FprAllocation::Uniform(e) => {
-                w.put_u32(0);
-                w.put_f64(e);
-                w.put_f64(0.0);
-            }
-            FprAllocation::Monkey { base_eps, ratio } => {
-                w.put_u32(1);
-                w.put_f64(base_eps);
-                w.put_f64(ratio);
-            }
-        }
         w.put_u32(state.tiers.len() as u32);
         for t in state.tiers.iter() {
             w.put_u64_slice(&t.keys);
@@ -452,39 +413,10 @@ impl CompactingFilter {
         if r.take_u32()? != MAGIC {
             return Err(SerialError::Corrupt("compacting magic"));
         }
-        let arity = match r.take_u32()? {
-            3 => FuseArity::Three,
-            4 => FuseArity::Four,
-            _ => return Err(SerialError::Corrupt("compacting arity")),
-        };
-        let front_capacity = r.take_u64()? as usize;
-        let eps = r.take_f64()?;
-        let seed = r.take_u64()?;
-        let policy = match r.take_u32()? {
-            0 => CompactionPolicy::Tiered,
-            1 => CompactionPolicy::Leveled,
-            2 => CompactionPolicy::LazyLeveled,
-            _ => return Err(SerialError::Corrupt("compacting policy")),
-        };
-        let max_tiers = r.take_u64()? as usize;
-        let alloc_tag = r.take_u32()?;
-        let (a0, a1) = (r.take_f64()?, r.take_f64()?);
-        let allocation = match alloc_tag {
-            0 => FprAllocation::Uniform(a0),
-            1 => FprAllocation::Monkey {
-                base_eps: a0,
-                ratio: a1,
-            },
-            _ => return Err(SerialError::Corrupt("compacting allocation")),
-        };
         let cfg = CompactingConfig {
-            front_capacity,
-            eps,
-            arity,
-            allocation,
-            policy,
-            max_tiers,
-            seed,
+            front_capacity: r.take_u64()? as usize,
+            eps: r.take_f64()?,
+            seed: r.take_u64()?,
         };
         cfg.validate()?;
         // No preallocation: the count is untrusted, and every tier
@@ -497,7 +429,7 @@ impl CompactingFilter {
                 return Err(SerialError::Corrupt("compacting tier keys unsorted"));
             }
             let filter = BinaryFuseFilter::from_bytes(&r.take_bytes()?)?;
-            if filter.len() != keys.len() || filter.arity() != arity {
+            if filter.len() != keys.len() || filter.arity() != TIER_ARITY {
                 return Err(SerialError::Corrupt("compacting tier mismatch"));
             }
             // Cheap structural cross-check: the filter must accept its
@@ -580,32 +512,24 @@ impl Inner {
     }
 }
 
-/// How many of the newest tiers the incoming batch absorbs.
-fn plan_merge(tiers: &[Arc<Tier>], incoming: usize, cfg: &CompactingConfig) -> usize {
-    let absorb = |tiers: &[Arc<Tier>]| {
-        let mut acc = incoming.max(1);
-        let mut n = 0;
-        for t in tiers.iter().rev() {
-            if t.keys.len() <= acc {
-                acc += t.keys.len();
-                n += 1;
-            } else {
-                break;
-            }
+/// How many of the newest tiers the incoming batch absorbs (lazy
+/// leveling): every newest tier no larger than the batch so far, or
+/// all of them when keeping the rest would leave more than
+/// [`MAX_TIERS`] tiers.
+fn plan_merge(tiers: &[Arc<Tier>], incoming: usize) -> usize {
+    let mut acc = incoming.max(1);
+    let mut n = 0;
+    for t in tiers.iter().rev() {
+        if t.keys.len() > acc {
+            break;
         }
+        acc += t.keys.len();
+        n += 1;
+    }
+    if tiers.len() - n + 1 > MAX_TIERS {
+        tiers.len()
+    } else {
         n
-    };
-    match cfg.policy {
-        CompactionPolicy::Leveled => tiers.len(),
-        CompactionPolicy::Tiered => absorb(tiers),
-        CompactionPolicy::LazyLeveled => {
-            let n = absorb(tiers);
-            if tiers.len() - n + 1 > cfg.max_tiers {
-                tiers.len()
-            } else {
-                n
-            }
-        }
     }
 }
 
@@ -633,7 +557,7 @@ fn compact_once(inner: &Inner, full: bool) -> usize {
     let merged = if full {
         state.tiers.len()
     } else {
-        plan_merge(&state.tiers, keys.len(), &inner.cfg)
+        plan_merge(&state.tiers, keys.len())
     };
     let keep = state.tiers.len() - merged;
     for t in &state.tiers[keep..] {
@@ -641,16 +565,10 @@ fn compact_once(inner: &Inner, full: bool) -> usize {
     }
     keys.sort_unstable();
     keys.dedup();
-    let total: usize = state.tiers[..keep]
-        .iter()
-        .map(|t| t.keys.len())
-        .sum::<usize>()
-        + keys.len();
-    let eps = inner.cfg.allocation.eps_for_run(keys.len(), total);
-    let fp_bits = fp_bits_for(eps);
+    let fp_bits = fp_bits_for(inner.cfg.eps);
     let epoch = inner.epoch.fetch_add(1, Ordering::Relaxed) + 1;
     let seed = inner.cfg.seed ^ mix64(epoch.wrapping_mul(2) | 1);
-    let filter = match BinaryFuseFilter::build_with_seed(&keys, inner.cfg.arity, fp_bits, seed) {
+    let filter = match BinaryFuseFilter::build_with_seed(&keys, TIER_ARITY, fp_bits, seed) {
         Ok(f) => f,
         Err(_) => {
             // Keys are deduplicated, so this needs a full-hash
@@ -903,22 +821,22 @@ mod tests {
     }
 
     #[test]
-    fn policies_shape_tier_counts() {
-        let run = |policy, max_tiers| {
-            let mut cfg = small_cfg(6);
-            cfg.policy = policy;
-            cfg.max_tiers = max_tiers;
-            let f = CompactingFilter::new(cfg);
-            let keys = unique_keys(25, 20_000);
-            for &k in &keys {
-                f.insert(k);
-            }
-            f.flush();
-            assert!(keys.iter().all(|&k| f.contains(k)));
-            f.stats().tiers
+    fn lazy_leveling_absorbs_small_tiers_and_caps_the_count() {
+        let tier = |n: u64| {
+            let keys: Vec<u64> = (0..n).collect();
+            let filter = BinaryFuseFilter::build(&keys, TIER_ARITY, 8).unwrap();
+            Arc::new(Tier { filter, keys })
         };
-        assert_eq!(run(CompactionPolicy::Leveled, 8), 1);
-        assert!(run(CompactionPolicy::LazyLeveled, 4) <= 4);
+        // Oldest first: the batch folds in the newest tiers no larger
+        // than what it has gathered so far, and stops at a big one.
+        let tiers = [tier(1_000), tier(10), tier(10)];
+        assert_eq!(plan_merge(&tiers, 10), 2);
+        assert_eq!(plan_merge(&tiers, 9), 0);
+        // A batch that absorbs nothing adds a tier, unless that would
+        // pass the cap: then every tier collapses into one.
+        let big: Vec<_> = (0..MAX_TIERS).map(|_| tier(1_000)).collect();
+        assert_eq!(plan_merge(&big[..MAX_TIERS - 1], 1), 0);
+        assert_eq!(plan_merge(&big, 1), MAX_TIERS);
     }
 
     #[test]

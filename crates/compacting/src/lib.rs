@@ -16,9 +16,11 @@
 //! it with a single `Arc` store under a write lock whose critical
 //! section is `O(tiers)` pointer copies — never a hash, never a
 //! build — so lookups never block on compaction (DESIGN.md, "Filter
-//! LSM"). Tier merge budgets reuse `crates/lsm`'s policy machinery
-//! ([`lsm::FprAllocation`] for per-tier FPR, [`lsm::CompactionPolicy`]
-//! for the merge shape).
+//! LSM"). The shape is fixed: every tier is a 4-wise fuse filter at
+//! the configured ε, and tiers merge by lazy leveling (a compaction
+//! folds in the newest tiers no larger than its batch, and collapses
+//! all tiers into one past 8). [`CompactingConfig`] sets only the
+//! front's capacity, ε and the seed.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

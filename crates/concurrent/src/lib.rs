@@ -31,8 +31,9 @@
 //!    64`).
 //!
 //! [`Sharded::new`] additionally hands each shard its index so
-//! builders can derive distinct per-shard filter seeds; the
-//! constructors in `quotient`, `cuckoo`, and `lsm` all do.
+//! builders can derive distinct per-shard filter seeds; the service's
+//! `build_sharded_*` functions, which build every served sharded
+//! backend, all do.
 //!
 //! ## What sharding gives — and what it does not
 //!

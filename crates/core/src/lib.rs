@@ -69,6 +69,12 @@ pub fn info_lower_bound_bits(n: usize, eps: f64) -> f64 {
     n as f64 * (1.0 / eps).log2()
 }
 
+/// Fingerprint bits achieving FPR ≈ `eps` in a static fingerprint
+/// filter (XOR, fuse, ribbon): `⌈log2(1/eps)⌉`, clamped to 2..=32.
+pub fn fp_bits_for(eps: f64) -> u32 {
+    ((1.0 / eps).log2().ceil() as u32).clamp(2, 32)
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -12,9 +12,9 @@
 //! - [`block_mask_256`] — all 8 probe bits of a register-blocked
 //!   Bloom key materialised as one 256-bit mask (one odd multiply +
 //!   shift per 32-bit lane, the Impala/RocksDB scheme);
-//! - [`covered_256`] / [`testzero_256`] / [`or_into_256`] — the
-//!   256-bit combine/compare primitives (`vptest` on AVX2);
-//! - [`block_mask_512`] / [`covered_512`] / [`testzero_512`] — the
+//! - [`covered_256`] / [`or_into_256`] — the 256-bit combine/compare
+//!   primitives (`vptest` on AVX2);
+//! - [`block_mask_512`] / [`covered_512`] — the
 //!   same idea for the 512-bit cache-line-blocked filters. The mask
 //!   build is scalar up to AVX2 (a data-dependent 8-way word scatter
 //!   has no narrow lane-parallel form) but goes native at AVX-512: a
@@ -432,32 +432,6 @@ pub fn covered_pair_256_at(level: SimdLevel, pair: &[[u64; 4]; 2], mask: &[u64; 
     covered_256_swar(&pair[0], mask) | covered_256_swar(&pair[1], mask)
 }
 
-/// Is the 256-bit value all zeros, at the cached tier?
-#[inline]
-pub fn testzero_256(v: &[u64; 4]) -> bool {
-    testzero_256_at(active_level(), v)
-}
-
-/// [`testzero_256`] at an explicit tier.
-#[inline]
-pub fn testzero_256_at(level: SimdLevel, v: &[u64; 4]) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    match level {
-        // SAFETY: tier confirmed by detection (Avx512 implies AVX2).
-        SimdLevel::Avx512 | SimdLevel::Avx2 => return unsafe { avx2::testzero_256(v) },
-        // SAFETY: SSE2 is baseline on x86_64.
-        SimdLevel::Sse2 => return unsafe { sse2::testzero_256(v) },
-        SimdLevel::Swar | SimdLevel::Neon => {}
-    }
-    #[cfg(all(target_arch = "aarch64", target_endian = "little"))]
-    if level == SimdLevel::Neon {
-        // SAFETY: NEON is baseline on aarch64.
-        return unsafe { neon::testzero_256(v) };
-    }
-    let _ = level;
-    v.iter().fold(0u64, |acc, &w| acc | w) == 0
-}
-
 /// OR `mask` into `block` — the register-blocked insert. A plain
 /// 4-word OR on every tier (the compiler vectorises it freely; the
 /// function exists so insert and query share one mask definition).
@@ -545,35 +519,6 @@ pub fn covered_512_at(level: SimdLevel, block: &[u64; 8], mask: &[u64; 8]) -> bo
         .zip(mask)
         .fold(0u64, |miss, (b, m)| miss | (m & !b))
         == 0
-}
-
-/// Is the 512-bit value all zeros, at the cached tier? (Empty-block
-/// checks for the cache-line-blocked layouts.)
-#[inline]
-pub fn testzero_512(v: &[u64; 8]) -> bool {
-    testzero_512_at(active_level(), v)
-}
-
-/// [`testzero_512`] at an explicit tier.
-#[inline]
-pub fn testzero_512_at(level: SimdLevel, v: &[u64; 8]) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    match level {
-        // SAFETY: tier confirmed by detection.
-        SimdLevel::Avx512 => return unsafe { avx512::testzero_512(v) },
-        // SAFETY: tier confirmed by detection.
-        SimdLevel::Avx2 => return unsafe { avx2::testzero_512(v) },
-        // SAFETY: SSE2 is baseline on x86_64.
-        SimdLevel::Sse2 => return unsafe { sse2::testzero_512(v) },
-        SimdLevel::Swar | SimdLevel::Neon => {}
-    }
-    #[cfg(all(target_arch = "aarch64", target_endian = "little"))]
-    if level == SimdLevel::Neon {
-        // SAFETY: NEON is baseline on aarch64.
-        return unsafe { neon::testzero_512(v) };
-    }
-    let _ = level;
-    v.iter().fold(0u64, |acc, &w| acc | w) == 0
 }
 
 // ---------------------------------------------------------------------
@@ -753,15 +698,6 @@ mod avx512 {
         (t & 0x0f) == 0 || (t & 0xf0) == 0
     }
 
-    /// # Safety
-    /// Caller must have confirmed AVX-512F.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    pub(super) unsafe fn testzero_512(v: &[u64; 8]) -> bool {
-        let x = _mm512_loadu_si512(v.as_ptr() as *const _);
-        _mm512_test_epi64_mask(x, x) == 0
-    }
-
     /// Native 512-bit mask build: the word scatter the narrower tiers
     /// can't express becomes a full-width one-hot. Lane `j` computes
     /// `1 << (pos − 64j)`, and `vpsllvq` yields 0 for any shift count
@@ -841,27 +777,6 @@ mod avx2 {
     /// Caller must have confirmed AVX2.
     #[target_feature(enable = "avx2")]
     #[inline]
-    pub(super) unsafe fn testzero_256(v: &[u64; 4]) -> bool {
-        let x = _mm256_loadu_si256(v.as_ptr() as *const __m256i);
-        // vptest ZF: 1 iff x & x == 0.
-        _mm256_testz_si256(x, x) == 1
-    }
-
-    /// # Safety
-    /// Caller must have confirmed AVX2.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    pub(super) unsafe fn testzero_512(v: &[u64; 8]) -> bool {
-        let lo = _mm256_loadu_si256(v.as_ptr() as *const __m256i);
-        let hi = _mm256_loadu_si256(v.as_ptr().add(4) as *const __m256i);
-        let folded = _mm256_or_si256(lo, hi);
-        _mm256_testz_si256(folded, folded) == 1
-    }
-
-    /// # Safety
-    /// Caller must have confirmed AVX2.
-    #[target_feature(enable = "avx2")]
-    #[inline]
     pub(super) unsafe fn covered_512(block: &[u64; 8], mask: &[u64; 8]) -> bool {
         let b0 = _mm256_loadu_si256(block.as_ptr() as *const __m256i);
         let m0 = _mm256_loadu_si256(mask.as_ptr() as *const __m256i);
@@ -908,32 +823,6 @@ mod sse2 {
             && covered_128(block.as_ptr().add(2), mask.as_ptr().add(2))
             && covered_128(block.as_ptr().add(4), mask.as_ptr().add(4))
             && covered_128(block.as_ptr().add(6), mask.as_ptr().add(6))
-    }
-
-    /// # Safety
-    /// Caller must have confirmed SSE2.
-    #[target_feature(enable = "sse2")]
-    #[inline]
-    pub(super) unsafe fn testzero_256(v: &[u64; 4]) -> bool {
-        let zero = _mm_setzero_si128();
-        let lo = _mm_loadu_si128(v.as_ptr() as *const __m128i);
-        let hi = _mm_loadu_si128(v.as_ptr().add(2) as *const __m128i);
-        let eq = _mm_and_si128(_mm_cmpeq_epi32(lo, zero), _mm_cmpeq_epi32(hi, zero));
-        _mm_movemask_epi8(eq) == 0xffff
-    }
-
-    /// # Safety
-    /// Caller must have confirmed SSE2.
-    #[target_feature(enable = "sse2")]
-    #[inline]
-    pub(super) unsafe fn testzero_512(v: &[u64; 8]) -> bool {
-        let a = _mm_loadu_si128(v.as_ptr() as *const __m128i);
-        let b = _mm_loadu_si128(v.as_ptr().add(2) as *const __m128i);
-        let c = _mm_loadu_si128(v.as_ptr().add(4) as *const __m128i);
-        let d = _mm_loadu_si128(v.as_ptr().add(6) as *const __m128i);
-        let folded = _mm_or_si128(_mm_or_si128(a, b), _mm_or_si128(c, d));
-        let eq = _mm_cmpeq_epi32(folded, _mm_setzero_si128());
-        _mm_movemask_epi8(eq) == 0xffff
     }
 }
 
@@ -1014,25 +903,6 @@ mod neon {
             miss_128(block.as_ptr().add(4), mask.as_ptr().add(4)),
             miss_128(block.as_ptr().add(6), mask.as_ptr().add(6)),
         );
-        all_zero(vorrq_u64(lo, hi))
-    }
-
-    /// # Safety
-    /// Caller must have confirmed NEON.
-    #[target_feature(enable = "neon")]
-    #[inline]
-    pub(super) unsafe fn testzero_256(v: &[u64; 4]) -> bool {
-        let folded = vorrq_u64(vld1q_u64(v.as_ptr()), vld1q_u64(v.as_ptr().add(2)));
-        all_zero(folded)
-    }
-
-    /// # Safety
-    /// Caller must have confirmed NEON.
-    #[target_feature(enable = "neon")]
-    #[inline]
-    pub(super) unsafe fn testzero_512(v: &[u64; 8]) -> bool {
-        let lo = vorrq_u64(vld1q_u64(v.as_ptr()), vld1q_u64(v.as_ptr().add(2)));
-        let hi = vorrq_u64(vld1q_u64(v.as_ptr().add(4)), vld1q_u64(v.as_ptr().add(6)));
         all_zero(vorrq_u64(lo, hi))
     }
 }
@@ -1189,7 +1059,7 @@ mod tests {
     }
 
     #[test]
-    fn covered_and_testzero_agree_across_levels() {
+    fn covered_agrees_across_levels() {
         let mut it = stream(13);
         for _ in 0..10_000 {
             let mask = block_mask_256_swar(it.next().unwrap() as u32);
@@ -1200,12 +1070,9 @@ mod tests {
             let want_cov = (0..4).all(|w| block[w] & mask[w] == mask[w]);
             let mut unioned = block;
             or_into_256(&mut unioned, &mask);
-            let want_zero = block.iter().all(|&w| w == 0);
             for l in levels() {
                 assert_eq!(covered_256_at(l, &block, &mask), want_cov, "{l:?}");
                 assert!(covered_256_at(l, &unioned, &mask), "{l:?} after or");
-                assert_eq!(testzero_256_at(l, &block), want_zero, "{l:?}");
-                assert!(testzero_256_at(l, &[0u64; 4]), "{l:?} zero");
             }
         }
     }
@@ -1237,7 +1104,6 @@ mod tests {
                     *b = it.next().unwrap();
                 }
                 let cov = (0..8).all(|w| block[w] & mask[w] == mask[w]);
-                let zero = block.iter().all(|&w| w == 0);
                 let mut full = block;
                 for (b, m) in full.iter_mut().zip(&mask) {
                     *b |= m;
@@ -1245,8 +1111,6 @@ mod tests {
                 for l in levels() {
                     assert_eq!(covered_512_at(l, &block, &mask), cov, "{l:?}");
                     assert!(covered_512_at(l, &full, &mask), "{l:?} after or");
-                    assert_eq!(testzero_512_at(l, &block), zero, "{l:?} testzero");
-                    assert!(testzero_512_at(l, &[0u64; 8]), "{l:?} zero");
                 }
             }
         }

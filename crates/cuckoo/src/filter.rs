@@ -96,25 +96,6 @@ impl CuckooFilter {
         2.0 * self.bucket_size as f64 * 2f64.powi(-(self.fp_bits as i32)) * self.load().min(1.0)
     }
 
-    /// A thread-safe cuckoo filter: `2^shard_bits` independent shards
-    /// behind per-shard locks, jointly sized for `capacity` keys.
-    ///
-    /// Shard selection uses the `concurrent` crate's dedicated shard
-    /// hash (top bits, separate seed), disjoint from the bucket/
-    /// fingerprint hashing inside each shard, so per-shard load and
-    /// FPR match an unsharded filter of the per-shard capacity. Each
-    /// shard gets a distinct seed to decorrelate kick paths.
-    pub fn sharded(
-        capacity: usize,
-        fp_bits: u32,
-        shard_bits: u32,
-    ) -> concurrent::Sharded<CuckooFilter> {
-        let per_shard = (capacity >> shard_bits).max(64);
-        concurrent::Sharded::new(shard_bits, |i| {
-            CuckooFilter::with_params(per_shard, fp_bits, BUCKET_SIZE, 0xcc00 ^ i as u64)
-        })
-    }
-
     /// Serialize for persistence beside an immutable run or for
     /// shipping a pre-built filter over the service's CREATE frame.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -461,7 +442,9 @@ mod tests {
 
     #[test]
     fn sharded_concurrent_insert_query_delete() {
-        let f = CuckooFilter::sharded(60_000, 13, 3);
+        let f = concurrent::Sharded::new(3, |i| {
+            CuckooFilter::with_params(7_500, 13, BUCKET_SIZE, 0xcc00 ^ i as u64)
+        });
         let keys = unique_keys(97, 60_000);
         std::thread::scope(|s| {
             for chunk in keys.chunks(15_000) {

@@ -99,29 +99,6 @@ impl CascadeFilter {
         }
     }
 
-    /// A thread-safe cascade filter: `2^shard_bits` independent
-    /// cascades behind per-shard locks, splitting the RAM budget.
-    ///
-    /// Each shard owns a buffer of `buffer_capacity >> shard_bits`
-    /// fingerprints and its own simulated-storage runs, so flushes and
-    /// merges in one shard never block operations on the others — the
-    /// same partitioning the tutorial's thread-scalable on-flash
-    /// filters use. Shard selection (see the `concurrent` crate docs)
-    /// is disjoint from the fingerprint hash by construction.
-    pub fn sharded(
-        buffer_capacity: usize,
-        fp_bits: u32,
-        shard_bits: u32,
-    ) -> concurrent::Sharded<CascadeFilter> {
-        concurrent::Sharded::new(shard_bits, |i| {
-            CascadeFilter::with_seed(
-                (buffer_capacity >> shard_bits).max(16),
-                fp_bits,
-                0xca5c ^ i as u64,
-            )
-        })
-    }
-
     /// The simulated-storage I/O counter.
     pub fn io(&self) -> &IoCounter {
         &self.io
@@ -327,7 +304,9 @@ mod tests {
 
     #[test]
     fn sharded_cascade_concurrent_inserts() {
-        let f = CascadeFilter::sharded(4_096, 40, 2);
+        let f = concurrent::Sharded::new(2, |i| {
+            CascadeFilter::with_seed(1_024, 40, 0xca5c ^ i as u64)
+        });
         let keys = unique_keys(608, 80_000);
         std::thread::scope(|s| {
             for chunk in keys.chunks(20_000) {

@@ -49,6 +49,6 @@ pub fn register_metrics() {
 pub use cascade::CascadeFilter;
 pub use io::IoCounter;
 pub use join::{bloom_join, filtered_join, JoinStats};
-pub use policy::{fp_bits_for, FilterKind, FprAllocation};
+pub use policy::{FilterKind, FprAllocation};
 pub use run::{RangeFilterKind, SortedRun, BLOCK_ENTRIES};
 pub use tree::{CompactionPolicy, GlobalRangeConfig, IndexMode, LsmConfig, LsmTree, TOMBSTONE};

@@ -1,7 +1,7 @@
 //! Per-run filter policies: which point filter guards each run and
 //! how false-positive budget is allocated across levels.
 
-use filter_core::{Filter, InsertFilter};
+use filter_core::{fp_bits_for, Filter, InsertFilter};
 
 /// The point-filter family guarding each run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,12 +103,6 @@ pub fn build_filter(kind: FilterKind, keys: &[u64], eps: f64) -> Option<Box<dyn 
             Some(Box::new(f))
         }
     }
-}
-
-/// Fingerprint bits achieving FPR ≈ `eps` (shared with the
-/// `compacting` crate's static fuse tiers).
-pub fn fp_bits_for(eps: f64) -> u32 {
-    ((1.0 / eps).log2().ceil() as u32).clamp(2, 32)
 }
 
 #[cfg(test)]

@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod concurrent;
 pub mod cqf;
 pub mod qf;
 pub mod table;
@@ -62,7 +61,6 @@ pub fn register_metrics() {
     CQF_EXPAND_DURATION.register();
 }
 
-pub use concurrent::ConcurrentQuotientFilter;
 pub use cqf::CountingQuotientFilter;
 pub use qf::QuotientFilter;
 pub use table::{Run, SlotTable};

@@ -498,18 +498,10 @@ impl Engine {
         &self.metrics
     }
 
-    /// Install a filter directly, bypassing the wire CREATE. Returns
-    /// `false` when the name is already taken. The filter arrived
-    /// pre-built, so its key set is unknown: it is indexed saturated
-    /// (conservative — always a candidate, never a false negative).
-    pub fn register(&self, name: &str, filter: ServedFilter) -> bool {
-        let mut filters = write_lock(&self.filters);
-        filters.add_filter(name, Arc::new(filter)) && filters.saturate_filter(name)
-    }
-
-    /// Install a filter directly *with* its key inventory: the index
-    /// gets an exact column instead of a saturated one, so
-    /// MULTI_CONTAINS can prune this filter. The caller warrants that
+    /// Install a filter directly, bypassing the wire CREATE, *with*
+    /// its key inventory: the index gets an exact column (unlike a
+    /// blob-CREATE's saturated one), so MULTI_CONTAINS can prune this
+    /// filter. The caller warrants that
     /// `keys` is exactly the set inserted into `filter` — missing
     /// keys would surface as index false negatives. Returns `false`
     /// when the name is already taken.
@@ -1198,34 +1190,29 @@ mod tests {
         let keys: Vec<u64> = (0..2_000).map(|i| i * 2 + 1).collect();
         let probes: Vec<u64> = (0..4_000).collect();
         let engine = Engine::new(ServerConfig::default());
-        let builds: Vec<(&str, ServedFilter)> = vec![
-            (
-                "ab",
-                ServedFilter::Bloom(build_atomic_bloom(4_096, 0.01, 7)),
-            ),
-            (
-                "ck",
-                ServedFilter::Cuckoo(build_sharded_cuckoo(4_096, 0.01, 2, 7)),
-            ),
-            (
-                "qf",
-                ServedFilter::Cqf(build_sharded_cqf(4_096, 0.01, 2, 7)),
-            ),
-            (
-                "rb",
-                ServedFilter::RegisterBloom(build_sharded_register_bloom(4_096, 0.01, 2, 7)),
-            ),
-            (
-                "cp",
-                ServedFilter::Compacting(build_compacting(16_384, 0.01, 7)),
-            ),
-            (
-                "tc",
-                ServedFilter::TwoChoice(build_sharded_two_choice(4_096, 0.01, 2, 7)),
-            ),
+        let builds = [
+            ("ab", Backend::AtomicBloom, 4_096, 0),
+            ("ck", Backend::ShardedCuckoo, 4_096, 2),
+            ("qf", Backend::ShardedCqf, 4_096, 2),
+            ("rb", Backend::RegisterBloom, 4_096, 2),
+            ("cp", Backend::Compacting, 16_384, 0),
+            ("tc", Backend::TwoChoiceBloom, 4_096, 2),
         ];
-        for (name, f) in builds {
-            engine.register(name, f);
+        for (name, backend, capacity, shard_bits) in builds {
+            let create = Request::Create {
+                name: name.into(),
+                backend,
+                capacity,
+                eps: 0.01,
+                shard_bits,
+                seed: 7,
+                blob: Vec::new(),
+            };
+            assert_eq!(
+                dispatch(&engine, &create.encode()).0,
+                Response::Ok,
+                "{name}"
+            );
             let (resp, _) = dispatch(
                 &engine,
                 &Request::Insert {
@@ -1314,15 +1301,7 @@ mod tests {
     #[test]
     fn multi_contains_matches_flat_scan_and_survives_forget() {
         let engine = Engine::new(ServerConfig::default());
-        let backends = [
-            Backend::AtomicBloom,
-            Backend::ShardedCuckoo,
-            Backend::ShardedCqf,
-            Backend::RegisterBloom,
-            Backend::Compacting,
-            Backend::TwoChoiceBloom,
-        ];
-        for (i, &backend) in backends.iter().enumerate() {
+        for (i, &backend) in Backend::ALL.iter().enumerate() {
             let name = format!("mc-{}", backend.name());
             let (resp, _) = dispatch(
                 &engine,
@@ -1361,7 +1340,7 @@ mod tests {
         // equality.
         assert_tree_within_flat(&lists, &engine.multi_contains_flat(&probes));
         // Every inserted key names its own filter (no false negative).
-        for (i, &backend) in backends.iter().enumerate() {
+        for (i, &backend) in Backend::ALL.iter().enumerate() {
             let name = format!("mc-{}", backend.name());
             let keys: Vec<u64> = (0..64).map(|j| (i as u64) * 100_000 + j).collect();
             for names in engine.multi_contains(&keys) {
@@ -1403,38 +1382,35 @@ mod tests {
     #[test]
     fn blob_created_filters_are_saturated() {
         let engine = Engine::new(ServerConfig::default());
-        // Ship a pre-built filter as a blob: the server cannot
-        // enumerate its keys, so the index must treat it as
-        // match-anything and let the filter itself confirm.
-        let pre = build_atomic_bloom(1_024, 0.01, 3);
-        for k in 500..600u64 {
-            pre.insert(k);
-        }
-        let blob = pre.to_bytes();
-        let (resp, _) = dispatch(
-            &engine,
-            &Request::Create {
-                name: "shipped".into(),
-                backend: Backend::AtomicBloom,
-                capacity: 0,
-                eps: 0.0,
-                shard_bits: 0,
-                seed: 0,
-                blob,
+        // Ship pre-built filters as blobs: the server cannot
+        // enumerate their keys, so the index must treat them as
+        // match-anything and let each filter itself confirm.
+        for (name, seed, keys) in [("shipped", 3, 500..600u64), ("shipped-42", 5, 42..43)] {
+            let pre = build_atomic_bloom(1_024, 0.01, seed);
+            for k in keys {
+                pre.insert(k);
             }
-            .encode(),
-        );
-        assert_eq!(resp, Response::Ok);
-        // Direct registration has unknown keys too.
-        let direct = build_atomic_bloom(1_024, 0.01, 5);
-        direct.insert(42);
-        assert!(engine.register("direct", ServedFilter::Bloom(direct)));
+            let (resp, _) = dispatch(
+                &engine,
+                &Request::Create {
+                    name: name.into(),
+                    backend: Backend::AtomicBloom,
+                    capacity: 0,
+                    eps: 0.0,
+                    shard_bits: 0,
+                    seed: 0,
+                    blob: pre.to_bytes(),
+                }
+                .encode(),
+            );
+            assert_eq!(resp, Response::Ok, "{name}");
+        }
         let probes: Vec<u64> = (0..1_000).collect();
         assert_eq!(
             engine.multi_contains(&probes),
             engine.multi_contains_flat(&probes)
         );
         assert!(engine.multi_contains(&[550])[0].contains(&"shipped".to_string()));
-        assert!(engine.multi_contains(&[42])[0].contains(&"direct".to_string()));
+        assert!(engine.multi_contains(&[42])[0].contains(&"shipped-42".to_string()));
     }
 }

@@ -60,52 +60,53 @@ pub const FLAG_TRACE: u32 = 1 << 31;
 /// Longest accepted filter name in bytes.
 pub const MAX_NAME_LEN: usize = 255;
 
-/// Which filter implementation backs a served instance.
+/// Which filter implementation backs a served instance. The
+/// discriminant is the wire tag (CREATE, SNAPSHOT blobs, STATS rows,
+/// slow log).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u32)]
 pub enum Backend {
     /// Wait-free `bloom::AtomicBlockedBloomFilter` (insert/contains).
-    AtomicBloom,
+    AtomicBloom = 0,
     /// `Sharded<cuckoo::CuckooFilter>` (insert/contains/delete).
-    ShardedCuckoo,
+    ShardedCuckoo = 1,
     /// `Sharded<quotient::CountingQuotientFilter>`
     /// (insert/contains/count/delete).
-    ShardedCqf,
+    ShardedCqf = 2,
     /// `Sharded<bloom::RegisterBlockedBloomFilter>` — the SIMD
     /// register-blocked backend (insert/contains).
-    RegisterBloom,
+    RegisterBloom = 3,
     /// `compacting::CompactingFilter` — Bloom memtable front with
     /// background compaction into static fuse tiers
     /// (insert/contains).
-    Compacting,
+    Compacting = 4,
     /// `Sharded<bloom::TwoChoiceRegisterBloomFilter>` — the
     /// two-choice register-blocked backend (insert/contains).
-    TwoChoiceBloom,
+    TwoChoiceBloom = 5,
 }
 
 impl Backend {
-    /// The wire tag (CREATE, SNAPSHOT blobs, STATS rows, slow log).
+    /// Every backend, indexed by its wire tag.
+    pub const ALL: [Backend; 6] = [
+        Backend::AtomicBloom,
+        Backend::ShardedCuckoo,
+        Backend::ShardedCqf,
+        Backend::RegisterBloom,
+        Backend::Compacting,
+        Backend::TwoChoiceBloom,
+    ];
+
+    /// The wire tag.
     pub(crate) fn to_u32(self) -> u32 {
-        match self {
-            Backend::AtomicBloom => 0,
-            Backend::ShardedCuckoo => 1,
-            Backend::ShardedCqf => 2,
-            Backend::RegisterBloom => 3,
-            Backend::Compacting => 4,
-            Backend::TwoChoiceBloom => 5,
-        }
+        self as u32
     }
 
     /// Inverse of [`Backend::to_u32`].
     pub(crate) fn from_u32(v: u32) -> Result<Self, SerialError> {
-        match v {
-            0 => Ok(Backend::AtomicBloom),
-            1 => Ok(Backend::ShardedCuckoo),
-            2 => Ok(Backend::ShardedCqf),
-            3 => Ok(Backend::RegisterBloom),
-            4 => Ok(Backend::Compacting),
-            5 => Ok(Backend::TwoChoiceBloom),
-            _ => Err(SerialError::Corrupt("unknown backend")),
-        }
+        Backend::ALL
+            .get(v as usize)
+            .copied()
+            .ok_or(SerialError::Corrupt("unknown backend"))
     }
 
     /// Human-readable backend name (STATS output, slow log).
@@ -1023,6 +1024,15 @@ mod tests {
         let bytes = req.encode();
         let back = Request::decode(&bytes).unwrap().unwrap();
         assert_eq!(back, req);
+    }
+
+    #[test]
+    fn backend_wire_tag_indexes_all() {
+        for (i, &b) in Backend::ALL.iter().enumerate() {
+            assert_eq!(b.to_u32(), i as u32);
+            assert_eq!(Backend::from_u32(i as u32).ok(), Some(b));
+        }
+        assert!(Backend::from_u32(Backend::ALL.len() as u32).is_err());
     }
 
     #[test]

@@ -1,19 +1,22 @@
 //! Thread-scaled k-mer-style counting — the tutorial's §1 feature 6
 //! ("scale with the number of threads"): a sharded concurrent
 //! counting quotient filter ingesting a skewed multiset from several
-//! threads at once.
+//! threads at once. The filter is the sharded CQF the filter service
+//! serves, built by `service::build_sharded_cqf`.
 //!
 //! ```text
 //! cargo run --release --example concurrent_counting
 //! ```
 
-use beyond_bloom::quotient::ConcurrentQuotientFilter;
+use beyond_bloom::service::build_sharded_cqf;
 use beyond_bloom::workloads::zipf::{rank_to_key, Zipf};
-use std::sync::Arc;
 use std::time::Instant;
 
 const DRAWS: usize = 2_000_000;
 const DISTINCT: u64 = 200_000;
+const EPS: f64 = 1.0 / 256.0;
+const SHARD_BITS: u32 = 6;
+const SEED: u64 = 7;
 
 fn main() {
     // One shared skewed stream, pre-generated so every run ingests
@@ -32,15 +35,11 @@ fn main() {
     println!("{:>8} {:>12} {:>10}", "threads", "Mops", "speedup");
     let mut base = 0.0f64;
     for threads in [1usize, 2, 4, 8] {
-        let f = Arc::new(ConcurrentQuotientFilter::new(
-            DISTINCT as usize * 2,
-            1.0 / 256.0,
-            6,
-        ));
+        let f = build_sharded_cqf(DISTINCT * 2, EPS, SHARD_BITS, SEED);
         let t0 = Instant::now();
         std::thread::scope(|s| {
             for chunk in stream.chunks(DRAWS / threads) {
-                let f = Arc::clone(&f);
+                let f = &f;
                 s.spawn(move || {
                     for &k in chunk {
                         f.insert(k).expect("insert");
@@ -56,7 +55,7 @@ fn main() {
     }
 
     // Verify counts against the exact multiset.
-    let f = ConcurrentQuotientFilter::new(DISTINCT as usize * 2, 1.0 / 256.0, 6);
+    let f = build_sharded_cqf(DISTINCT * 2, EPS, SHARD_BITS, SEED);
     let mut truth = std::collections::HashMap::new();
     for &k in &stream {
         f.insert(k).unwrap();

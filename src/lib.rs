@@ -19,7 +19,7 @@
 //! | one cache line per lookup | [`cuckoo::MortonFilter`], [`bloom::BlockedBloomFilter`] |
 //! | one SIMD compare per lookup | [`bloom::RegisterBlockedBloomFilter`] |
 //! | multiset counts | [`quotient::CountingQuotientFilter`] |
-//! | many threads | [`concurrent::Sharded`] (any filter), [`quotient::ConcurrentQuotientFilter`], [`bloom::AtomicBlockedBloomFilter`] |
+//! | many threads | [`concurrent::Sharded`] (any filter; the served sharded CQF is [`service::build_sharded_cqf`]), [`bloom::AtomicBlockedBloomFilter`] |
 //! | grows forever | [`infini::InfiniFilter`] (deletes) / [`infini::TaffyCuckooFilter`] |
 //! | grows one bucket at a time | [`infini::RingFilter`] (ops go logarithmic) |
 //! | adversarial queries | [`adaptive::AdaptiveQuotientFilter`], [`cuckoo::AdaptiveCuckooFilter`] |

@@ -143,6 +143,34 @@ fn sharded_cqf_storm_counts_never_undercount() {
 }
 
 #[test]
+fn sharded_cqf_concurrent_removes_keep_the_count_floor() {
+    // Each writer inserts the same keys REPEATS times and then removes
+    // each once, so every key ends at WRITERS × (REPEATS − 1) at least.
+    const REPEATS: u64 = 3;
+    let f = beyond_bloom::service::build_sharded_cqf(10_000, 1.0 / 1024.0, 3, 0x51ab);
+    let keys = unique_keys(313, 1_000);
+    std::thread::scope(|s| {
+        for _ in 0..WRITERS {
+            let (f, keys) = (&f, &keys);
+            s.spawn(move || {
+                for _ in 0..REPEATS {
+                    for &k in keys {
+                        f.insert_count(k, 1).unwrap();
+                    }
+                }
+                for &k in keys {
+                    f.remove_count(k, 1).unwrap();
+                }
+            });
+        }
+    });
+    let floor = WRITERS as u64 * (REPEATS - 1);
+    for &k in &keys {
+        assert!(f.count(k) >= floor, "count {} below {floor}", f.count(k));
+    }
+}
+
+#[test]
 fn atomic_blocked_bloom_storm_no_false_negatives() {
     let f = AtomicBlockedBloomFilter::new(60_000, 0.01);
     let keys = unique_keys(903, 60_000);
@@ -165,7 +193,10 @@ fn sharded_mixed_insert_remove_query_does_not_deadlock() {
     // Insert/remove/query threads over a sharded cuckoo filter: the
     // test passing at all demonstrates lock-freedom from deadlock
     // (each operation locks exactly one shard).
-    let f = beyond_bloom::cuckoo::CuckooFilter::sharded(40_000, 14, 4);
+    // The served build: 16 shards of 2,500 keys with 14-bit
+    // fingerprints (log2(1/ε) = 11, plus 3 for the 8 slots a lookup
+    // compares).
+    let f = beyond_bloom::service::build_sharded_cuckoo(40_000, 1.0 / 2048.0, 4, 0xcc00);
     let stable = unique_keys(905, 10_000);
     let churn = disjoint_keys(906, 10_000, &stable);
     f.insert_batch(&stable).unwrap();
@@ -238,14 +269,6 @@ fn multi_contains_never_misses_an_acknowledged_insert() {
     const BATCH: usize = 64;
     const BATCHES: usize = 300;
     const WRITERS: usize = 2;
-    const BACKENDS: [Backend; 6] = [
-        Backend::AtomicBloom,
-        Backend::ShardedCuckoo,
-        Backend::ShardedCqf,
-        Backend::RegisterBloom,
-        Backend::Compacting,
-        Backend::TwoChoiceBloom,
-    ];
     let engine = Engine::new(ServerConfig::default());
     let call = |req: Request| dispatch(&engine, &req.encode()).0;
     let create = |name: &str, backend: Backend, blob: Vec<u8>| {
@@ -263,7 +286,12 @@ fn multi_contains_never_misses_an_acknowledged_insert() {
     // tenants[w]: writer w's tenants, every backend once, big and small
     // alternating; writer 0 also owns the blob-created tenant.
     let mut tenants: Vec<Vec<String>> = vec![Vec::new(); WRITERS];
-    for (i, &backend) in BACKENDS.iter().cycle().take(2 * BACKENDS.len()).enumerate() {
+    for (i, &backend) in Backend::ALL
+        .iter()
+        .cycle()
+        .take(2 * Backend::ALL.len())
+        .enumerate()
+    {
         let name = format!("t{i:02}");
         create(&name, backend, Vec::new());
         if i % 2 == 0 {
@@ -274,7 +302,7 @@ fn multi_contains_never_misses_an_acknowledged_insert() {
             });
             assert_eq!(resp, Response::Ok, "preload {name}");
         }
-        tenants[i / BACKENDS.len()].push(name);
+        tenants[i / Backend::ALL.len()].push(name);
     }
     let blob = build_atomic_bloom(1 << 15, 0.01, 7);
     blob.insert_batch(&unique_keys(930, 1_000));

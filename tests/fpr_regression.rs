@@ -209,3 +209,18 @@ fn sharded_bloom_fpr_matches_unsharded_budget() {
         eps,
     );
 }
+
+#[test]
+fn sharded_cqf_fpr() {
+    // The served sharded CQF, through its batch paths: 16 shards of
+    // 2^12 slots with 8-bit remainders hold 50k keys.
+    let eps = 1.0 / 256.0;
+    let keys = unique_keys(310, 50_000);
+    let probes = disjoint_keys(311, 50_000, &keys);
+    let f = beyond_bloom::service::build_sharded_cqf(50_000, eps, 4, 0x51ab);
+    f.insert_batch(&keys).unwrap();
+    assert!(f.contains_batch(&keys).iter().all(|&b| b));
+    // len() counts distinct fingerprints; a few dozen keys share one.
+    assert!((49_500..=50_000).contains(&f.len()), "len {}", f.len());
+    assert_fpr_near("sharded-cqf", measured_fpr(&probes, |k| f.contains(k)), eps);
+}

@@ -181,17 +181,32 @@ fn compacting_corrupt_bytes_rejected() {
     wrong[0] ^= 0xff;
     assert!(CompactingFilter::from_bytes(&wrong).is_err());
     // Forged size fields must be refused before they size an
-    // allocation: a 2^40-key front (offset 8) and a ~1.7e9 tier count
-    // (offset 64). A Monkey allocation tag (offset 44) turns the
-    // stored 0.0 into a ratio that would panic the compaction thread.
+    // allocation: a 2^40-key front (offset 4) and a ~1.7e9 tier count
+    // (offset 28).
     let forge = |at: usize, field: &[u8]| {
         let mut b = bytes.clone();
         b[at..at + field.len()].copy_from_slice(field);
         b
     };
-    assert!(CompactingFilter::from_bytes(&forge(8, &(1u64 << 40).to_le_bytes())).is_err());
-    assert!(CompactingFilter::from_bytes(&forge(64, &0x6800_0000u32.to_le_bytes())).is_err());
-    assert!(CompactingFilter::from_bytes(&forge(44, &1u32.to_le_bytes())).is_err());
+    assert!(CompactingFilter::from_bytes(&forge(4, &(1u64 << 40).to_le_bytes())).is_err());
+    assert!(CompactingFilter::from_bytes(&forge(28, &0x6800_0000u32.to_le_bytes())).is_err());
+    // The earlier layout, which also stored arity, merge policy, tier
+    // cap and FPR allocation, is refused rather than misread: here a
+    // well-formed one with no tiers and three loose keys.
+    let mut old = beyond_bloom::core::ByteWriter::new();
+    old.put_u32(0xc0ab_ac71);
+    old.put_u32(4);
+    old.put_u64(1024);
+    old.put_f64(1.0 / 256.0);
+    old.put_u64(9);
+    old.put_u32(2);
+    old.put_u64(8);
+    old.put_u32(0);
+    old.put_f64(1.0 / 256.0);
+    old.put_f64(0.0);
+    old.put_u32(0);
+    old.put_u64_slice(&keys[..3]);
+    assert!(CompactingFilter::from_bytes(&old.into_bytes()).is_err());
     // Cross-family confusion: a raw fuse blob is not a snapshot.
     let fuse =
         beyond_bloom::xorf::BinaryFuseFilter::build(&keys, beyond_bloom::xorf::FuseArity::Four, 8)
@@ -291,15 +306,7 @@ fn mutated_snapshot_blobs_never_panic_the_engine() {
     let call = |req: Request| dispatch(&engine, &req.encode()).0;
     let keys = unique_keys(968, 2_000);
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_b10b);
-    let backends = [
-        Backend::AtomicBloom,
-        Backend::ShardedCuckoo,
-        Backend::ShardedCqf,
-        Backend::RegisterBloom,
-        Backend::Compacting,
-        Backend::TwoChoiceBloom,
-    ];
-    for (i, backend) in backends.into_iter().enumerate() {
+    for (i, backend) in Backend::ALL.into_iter().enumerate() {
         let source = format!("src-{i}");
         let create = |name: &str, blob: Vec<u8>| Request::Create {
             name: name.to_string(),

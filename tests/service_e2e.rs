@@ -603,11 +603,10 @@ fn shutdown_drains_in_flight_requests() {
 
     // Fire a large insert from another thread, then shut down while
     // it is (likely) in flight: the request must either complete with
-    // Ok or observe an orderly close — never a hang or a panic.
-    let handle = std::thread::spawn(move || {
-        let mut busy = FilterClient::connect(addr).unwrap();
-        busy.insert("t", &keys)
-    });
+    // Ok or observe an orderly close — never a hang or a panic. The
+    // connection is opened here, before the shutdown can start.
+    let mut busy = FilterClient::connect(addr).unwrap();
+    let handle = std::thread::spawn(move || busy.insert("t", &keys));
     std::thread::sleep(Duration::from_millis(5));
     server.shutdown(); // joins every loop; must not deadlock
     match handle.join().expect("client thread must not panic") {
@@ -1429,19 +1428,11 @@ fn cluster_multi_contains_is_the_union_of_node_answers() {
         .collect();
     let addrs: Vec<SocketAddr> = nodes.iter().map(|n| n.local_addr()).collect();
     let mut cluster = ClusterClient::new(addrs.clone()).expect("cluster");
-    let backends = [
-        Backend::AtomicBloom,
-        Backend::ShardedCuckoo,
-        Backend::ShardedCqf,
-        Backend::RegisterBloom,
-        Backend::Compacting,
-        Backend::TwoChoiceBloom,
-    ];
     // 200 keys stay inside the compacting filter's 1,024-key front, so
     // no background compaction moves its false positives between the
     // cluster's answer and the nodes' own.
     let mut filters: Vec<(String, Vec<u64>)> = Vec::new();
-    for (i, &backend) in backends.iter().cycle().take(12).enumerate() {
+    for (i, &backend) in Backend::ALL.iter().cycle().take(12).enumerate() {
         let name = format!("union-{i:02}-{}", backend.name());
         cluster
             .create(&name, backend, 8_192, 0.01, 1, 60 + i as u64)

@@ -46,7 +46,7 @@ fn block_mask_256_identical_across_levels() {
 }
 
 #[test]
-fn covered_and_testzero_256_identical_across_levels() {
+fn covered_256_identical_across_levels() {
     let levels = levels();
     let mut it = stream(202);
     for _ in 0..10_000 {
@@ -66,10 +66,8 @@ fn covered_and_testzero_256_identical_across_levels() {
         }
         let mask = simd::block_mask_256(it.next().unwrap() as u32);
         let want_cov = simd::covered_256_at(SimdLevel::Swar, &block, &mask);
-        let want_zero = simd::testzero_256_at(SimdLevel::Swar, &block);
         for &l in &levels[1..] {
             assert_eq!(simd::covered_256_at(l, &block, &mask), want_cov, "at {l:?}");
-            assert_eq!(simd::testzero_256_at(l, &block), want_zero, "at {l:?}");
         }
         // The two-choice pair probe must agree with the OR of two
         // single-block probes, at every tier. A sibling block built
@@ -110,7 +108,7 @@ fn covered_512_identical_across_levels() {
 }
 
 #[test]
-fn block_mask_512_and_testzero_512_identical_across_levels() {
+fn block_mask_512_identical_across_levels() {
     let levels = levels();
     let mut it = stream(808);
     for _ in 0..10_000 {
@@ -123,17 +121,6 @@ fn block_mask_512_and_testzero_512_identical_across_levels() {
                 want_mask,
                 "mask h1 {h1:#x} h2 {h2:#x} k {k} at {l:?}"
             );
-        }
-        let mut rnd = [0u64; 8];
-        for w in &mut rnd {
-            *w = it.next().unwrap();
-        }
-        // Empty, one-mask, random, and saturated blocks.
-        for block in [[0u64; 8], want_mask, rnd, [u64::MAX; 8]] {
-            let want = simd::testzero_512_at(SimdLevel::Swar, &block);
-            for &l in &levels[1..] {
-                assert_eq!(simd::testzero_512_at(l, &block), want, "at {l:?}");
-            }
         }
     }
 }

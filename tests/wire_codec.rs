@@ -348,17 +348,9 @@ fn mutated_payloads_never_panic_the_decoders_or_dispatch() {
         max_capacity: 1 << 12,
         ..ServerConfig::default()
     };
-    let backends = [
-        Backend::AtomicBloom,
-        Backend::ShardedCuckoo,
-        Backend::ShardedCqf,
-        Backend::RegisterBloom,
-        Backend::Compacting,
-        Backend::TwoChoiceBloom,
-    ];
     let engine_with_filters = || {
         let engine = Engine::new(config());
-        for (i, &backend) in backends.iter().enumerate() {
+        for (i, &backend) in Backend::ALL.iter().enumerate() {
             let name = format!("f{i}");
             let create = Request::Create {
                 name: name.clone(),
